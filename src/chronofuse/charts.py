@@ -352,37 +352,52 @@ def spec_from_text(text: str) -> ChartSpec:
             raise MalformedStore(f"expected {prefix!r} record, got {line!r}")
         return line[len(prefix) + 1:]
 
+    def parse(convert, text: str, what: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise MalformedStore(f"bad chart spec {what}: {text!r}") from None
+
     magic = lines.pop(0) if lines else ""
     if magic != f"{CHART_MAGIC} {CHART_VERSION}":
         raise MalformedStore(f"not a chronofuse chart spec: {magic!r}")
-    kind = ChartKind(take("kind"))
+    kind = parse(ChartKind, take("kind"), "kind")
     start, _, end = take("time_range").partition("..")
-    slots = int(take("slots"))
+    slots = parse(int, take("slots"), "slots")
     labels = tuple(x for x in take("labels").split(",") if x)
-    palette = tuple(int(x) for x in take("palette").split(",") if x)
-    count = int(take("series"))
+    palette = tuple(parse(int, x, "palette index") for x in take("palette").split(",") if x)
+    count = parse(int, take("series"), "series count")
     series = []
     for _ in range(count):
         body = take("s")
-        metric, norm_text, outside_text, points_text = body.split("|")
-        points = tuple(
-            (float(p.split(":")[0]), float(p.split(":")[1])) for p in points_text.split() if p
+        fields = body.split("|")
+        if len(fields) != 4:
+            raise MalformedStore(f"series record needs 4 fields, got {len(fields)}: {body!r}")
+        metric, norm_text, outside_text, points_text = fields
+        points = []
+        for point in points_text.split():
+            t_text, sep, v_text = point.partition(":")
+            if not sep:
+                raise MalformedStore(f"bad chart spec point: {point!r}")
+            points.append((parse(float, t_text, "point"), parse(float, v_text, "point")))
+        normalization = parse(Normalization, norm_text, "normalization")
+        outside = frozenset(
+            parse(int, i, "out-of-range index") for i in outside_text.split(",") if i
         )
-        series.append(
-            Series(
-                metric=metric,
-                points=points,
-                normalization=Normalization(norm_text),
-                out_of_range=frozenset(int(i) for i in outside_text.split(",") if i),
-            )
-        )
+        try:
+            series.append(Series(metric, tuple(points), normalization, outside))
+        except ValueError as exc:
+            raise MalformedStore(f"bad chart spec series: {exc}") from None
     if not lines or lines.pop(0) != "end":
         raise MalformedStore("chart spec text is truncated (missing end)")
-    return ChartSpec(
-        kind=kind,
-        series=tuple(series),
-        time_range=(start, end),
-        slot_labels=labels,
-        palette=palette,
-        angular_slots=slots or None,
-    )
+    try:
+        return ChartSpec(
+            kind=kind,
+            series=tuple(series),
+            time_range=(start, end),
+            slot_labels=labels,
+            palette=palette,
+            angular_slots=slots or None,
+        )
+    except ValueError as exc:
+        raise MalformedStore(f"bad chart spec: {exc}") from None

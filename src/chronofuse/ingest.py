@@ -124,15 +124,19 @@ class MetricLexicon:
 
     Canonical names are unique and alias sets are pairwise disjoint, both
     case-insensitively; a canonical name always matches its own entry.
+    The alias index and the line matcher are built from `entries` once,
+    so a lexicon must not be mutated after construction.
     """
 
     entries: list[LexiconEntry]
+    _by_alias: dict[str, LexiconEntry] = field(init=False, compare=False, repr=False)
+    _matcher: _AliasMatcher | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         canonicals = [e.canonical.lower() for e in self.entries]
         if len(set(canonicals)) != len(canonicals):
             raise InvalidLexicon("canonical names must be unique")
-        seen: dict[str, str] = {}
+        seen: dict[str, LexiconEntry] = {}
         for entry in self.entries:
             _validate_name(entry.canonical, "canonical name")
             for unit in entry.units:
@@ -141,17 +145,15 @@ class MetricLexicon:
                 _validate_name(alias, "alias")
                 if alias in seen:
                     raise InvalidLexicon(
-                        f"alias {alias!r} is claimed by both {seen[alias]!r} and {entry.canonical!r}"
+                        f"alias {alias!r} is claimed by both {seen[alias].canonical!r} "
+                        f"and {entry.canonical!r}"
                     )
-                seen[alias] = entry.canonical
+                seen[alias] = entry
+        self._by_alias = seen
 
     def entry_for(self, name: str) -> LexiconEntry | None:
         """Resolve a canonical name or alias, case-insensitively."""
-        key = name.lower()
-        for entry in self.entries:
-            if entry.canonical.lower() == key or key in (a.lower() for a in entry.aliases):
-                return entry
-        return None
+        return self._by_alias.get(name.lower())
 
     def ranges(self) -> dict[str, RefRange]:
         """Reference ranges keyed by canonical name (entries without one omitted)."""
@@ -164,6 +166,12 @@ class MetricLexicon:
             yield entry.canonical, entry
             for alias in entry.aliases:
                 yield alias, entry
+
+    def _line_matcher(self) -> _AliasMatcher:
+        """The alias matcher, compiled on the first plain-text scan."""
+        if self._matcher is None:
+            self._matcher = _AliasMatcher.compile(self)
+        return self._matcher
 
 
 @dataclass(frozen=True)
@@ -239,6 +247,8 @@ _ISO_RE = re.compile(r"(?<!\d)(\d{4})-(\d{2})-(\d{2})(?!\d)")
 _SLASH_RE = re.compile(r"(?<!\d)(\d{2})/(\d{2})/(\d{4})(?!\d)")
 _DASH_RE = re.compile(r"(?<!\d)(\d{2})-(\d{2})-(\d{4})(?!\d)")
 _TIME_RE = re.compile(r"[ \t]+(\d{2}):(\d{2})(?!\d)")
+# Every accepted date form contains this, so a line without it has no date.
+_DATE_HINT_RE = re.compile(r"\d{2}[-/]\d{2}")
 
 
 def parse_timestamp(text: str, date_order: DateOrder = DateOrder.DMY) -> TimePoint:
@@ -248,6 +258,8 @@ def parse_timestamp(text: str, date_order: DateOrder = DateOrder.DMY) -> TimePoi
     HH:MM time of day. Raises NoTimestamp when no accepted pattern with a
     valid calendar date occurs.
     """
+    if not _DATE_HINT_RE.search(text):
+        raise NoTimestamp(f"no accepted timestamp in {text!r}")
     candidates: list[tuple[int, dt.date, int]] = []
     for match in _ISO_RE.finditer(text):
         y, m, d = (int(g) for g in match.groups())
@@ -285,6 +297,71 @@ def _checked_date(year: int, month: int, day: int) -> dt.date | None:
 
 # --- measurement grammar ---
 
+# Word boundary around an alias: no ASCII letter or digit on either side.
+_ALIAS_BEFORE = r"(?<![A-Za-z0-9])"
+_ALIAS_AFTER = r"(?![A-Za-z0-9])"
+
+
+@dataclass(frozen=True)
+class _AliasMatcher:
+    """Every alias of a lexicon in one case-insensitive pattern.
+
+    The pattern is a character trie of the aliases inside a lookahead, so
+    each `finditer` hit is the longest alias starting at that boundary
+    position, and `slots[m.lastindex - 1]` is its (alias, entry). Trie
+    edges are keyed per character by the regex engine's own case
+    equivalence, so sibling edges never match the same character and the
+    first branch that matches is the only one.
+    """
+
+    pattern: re.Pattern[str]
+    slots: tuple[tuple[str, LexiconEntry], ...]
+
+    @classmethod
+    def compile(cls, lexicon: MetricLexicon) -> _AliasMatcher:
+        keys: dict[str, str] = {}  # character -> representative of its case class
+        reps: list[re.Pattern[str]] = []
+
+        def key(ch: str) -> str:
+            if ch not in keys:
+                rep = next((r.pattern for r in reps if r.fullmatch(ch)), None)
+                if rep is None:
+                    reps.append(re.compile(re.escape(ch), re.IGNORECASE))
+                    rep = reps[-1].pattern
+                keys[ch] = rep
+            return keys[ch]
+
+        # Nodes map an escaped key to a child; "" marks an alias end. The
+        # first spelling of case-equivalent aliases keeps the slot, as it
+        # wins every tie in iter_aliases() order.
+        root: dict = {}
+        for alias, entry in lexicon.iter_aliases():
+            node = root
+            for ch in alias:
+                node = node.setdefault(key(ch), {})
+            node.setdefault("", (alias, entry))
+
+        slots: list[tuple[str, LexiconEntry]] = []
+
+        def emit(node: dict) -> str:
+            # Unbranched runs are plain literals, so nesting (and recursion)
+            # grows with branch points, not with alias length.
+            run = ""
+            while len(node) == 1 and "" not in node:
+                ((edge, node),) = node.items()
+                run += edge
+            # Longer continuations come first; group numbers follow emission order.
+            branches = [edge + emit(child) for edge, child in node.items() if edge]
+            if "" in node:
+                slots.append(node[""])
+                branches.append("()" + _ALIAS_AFTER)
+            if len(branches) == 1:
+                return run + branches[0]
+            return run + ("(?:" + "|".join(branches) + ")" if branches else "(?!)")
+
+        body = emit(root)
+        return cls(re.compile(f"{_ALIAS_BEFORE}(?={body})", re.IGNORECASE), tuple(slots))
+
 
 @dataclass
 class _LineMatch:
@@ -311,18 +388,15 @@ def parse_measurement(line: str, lexicon: MetricLexicon) -> tuple[str, float, st
 
 def _scan_line(line: str, lexicon: MetricLexicon) -> tuple[_LineMatch | None, str | None]:
     """Full line scan: returns (match, warning). Either may be None."""
+    matcher = lexicon._line_matcher()
     best: tuple[int, int, str, LexiconEntry] | None = None
-    for alias, entry in lexicon.iter_aliases():
-        pattern = re.compile(
-            r"(?<![A-Za-z0-9])" + re.escape(alias) + r"(?![A-Za-z0-9])", re.IGNORECASE
-        )
-        for m in pattern.finditer(line):
-            key = (-len(alias), m.start())
-            if best is None or key < (best[0], best[1]):
-                best = (-len(alias), m.start(), alias, entry)
+    for m in matcher.pattern.finditer(line):
+        alias, entry = matcher.slots[m.lastindex - 1]
+        if best is None or len(alias) > best[0]:
+            best = (len(alias), m.start(), alias, entry)
     if best is None:
         return None, None
-    alias_len, start, alias, entry = -best[0], best[1], best[2], best[3]
+    alias_len, start, alias, entry = best
     rest = line[start + alias_len:]
 
     value: float | None = None

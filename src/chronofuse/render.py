@@ -240,10 +240,6 @@ def _fmt(x: float) -> str:
     return repr(r)
 
 
-def _esc(text: str) -> str:
-    return escape(text)
-
-
 class _Emitter:
     def __init__(self):
         self.parts: list[str] = []
@@ -302,7 +298,7 @@ class _Emitter:
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{_fmt(font)}" '
             f'text-anchor="{anchor}" fill="{color}" '
-            f'font-family="Helvetica, Arial, sans-serif">{_esc(content)}</text>'
+            f'font-family="Helvetica, Arial, sans-serif">{escape(content)}</text>'
         )
         width = CHAR_W * font * len(content)
         if anchor == "middle":
@@ -413,7 +409,7 @@ def _render_line_panel(emitter, spec, panel, indices, profile, with_x_labels):
         v = lo + (hi - lo) * j / (y_ticks - 1)
         _, y_px = data_xy(0.0, v)
         emitter.line(frame.x - 4.0, y_px, frame.x, y_px, "#444444", kind="tick")
-        emitter.text(frame.x - 8.0, y_px + tick_font / 3.0, _short(v), tick_font, anchor="end")
+        emitter.text(frame.x - 8.0, y_px + tick_font / 3.0, f"{v:.6g}", tick_font, anchor="end")
 
     for i in indices:
         series = spec.series[i]
@@ -443,7 +439,7 @@ def _fit_line_panel(panel, labels, lo, hi, base_font, title_band):
 
     font = base_font
     while font >= FONT_FLOOR:
-        y_labels = [_short(lo + (hi - lo) * j / 4.0) for j in range(5)]
+        y_labels = [f"{lo + (hi - lo) * j / 4.0:.6g}" for j in range(5)]
         gutter_left = max(CHAR_W * font * len(t) for t in y_labels) + 12.0
         gutter_bottom = font + 14.0
         plot = Rect(
@@ -597,11 +593,6 @@ def _emit_sector(emitter, polar_xy, a0, a1, r0_units, r1_units, color):
     ys = [p[1] for p in candidates]
     bbox = Rect(min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys))
     emitter.path(d, tuple(pts), bbox, color)
-
-
-def _short(value: float) -> str:
-    text = f"{value:.6g}"
-    return text
 
 
 # --- legibility diagnostics ---

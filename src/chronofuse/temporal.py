@@ -467,15 +467,7 @@ def _parse_column(text: str, cursor: _Cursor) -> ColumnDescriptor:
     if len(parts) != 5:
         cursor.fail(f"column record needs 5 fields, got {len(parts)}")
     metric, unit, rng_text, rng_unit, sources_text = parts
-    reference_range = None
-    if rng_text:
-        low_text, sep, high_text = rng_text.partition("..")
-        if not sep:
-            cursor.fail(f"bad reference range {rng_text!r}")
-        try:
-            reference_range = RefRange(float(low_text), float(high_text), rng_unit)
-        except ValueError as exc:
-            cursor.fail(f"bad reference range {rng_text!r}: {exc}")
+    reference_range = _parse_range(rng_text, rng_unit, cursor) if rng_text else None
     sources = frozenset(s for s in sources_text.split(",") if s)
     return ColumnDescriptor(metric, unit, reference_range, sources)
 
@@ -500,15 +492,35 @@ def _parse_row(text: str, granularity: Granularity, cursor: _Cursor):
         entries = []
         for entry_text in entries_text.split(";"):
             value_text, sep2, source = entry_text.partition("@")
-            try:
-                value = float(value_text)
-            except ValueError:
-                cursor.fail(f"bad cell value {value_text!r}")
+            value = _finite_float(value_text, "cell value", cursor)
             if not sep2 or not source:
                 cursor.fail(f"bad cell entry {entry_text!r}")
             entries.append(CellEntry(value, source))
         row[metric] = Cell(tuple(entries))
     return ts, row
+
+
+def _parse_range(text: str, unit: str, cursor: _Cursor) -> RefRange:
+    low_text, sep, high_text = text.partition("..")
+    if not sep:
+        cursor.fail(f"bad reference range {text!r}")
+    low = _finite_float(low_text, "reference range bound", cursor)
+    high = _finite_float(high_text, "reference range bound", cursor)
+    try:
+        return RefRange(low, high, unit)
+    except ValueError as exc:
+        cursor.fail(f"bad reference range {text!r}: {exc}")
+
+
+def _finite_float(text: str, what: str, cursor: _Cursor) -> float:
+    """Parse a float the savers could have written: nan and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        cursor.fail(f"bad {what} {text!r}")
+    return value
 
 
 # Observation archive grammar (output of the ingest stage):
@@ -568,21 +580,14 @@ def load_observations(path: str | Path) -> tuple[list[Observation], dict[str, Re
         if len(fields) != 3:
             cursor.fail("range record needs 3 fields")
         metric, rng_text, rng_unit = fields
-        low_text, sep, high_text = rng_text.partition("..")
-        try:
-            ranges[metric] = RefRange(float(low_text), float(high_text), rng_unit)
-        except ValueError as exc:
-            cursor.fail(f"bad reference range {rng_text!r}: {exc}")
+        ranges[metric] = _parse_range(rng_text, rng_unit, cursor)
     observations: list[Observation] = []
     for _ in range(cursor.expect_count("observations")):
         fields = cursor.expect_field("obs").split("|")
         if len(fields) != 6:
             cursor.fail("obs record needs 6 fields")
         source, metric, value_text, unit, time_text, flags_text = fields
-        try:
-            value = float(value_text)
-        except ValueError:
-            cursor.fail(f"bad observation value {value_text!r}")
+        value = _finite_float(value_text, "observation value", cursor)
         time = _parse_archive_time(time_text, cursor)
         flags = frozenset(f for f in flags_text.split(",") if f)
         observations.append(Observation(metric, value, unit, time, source, flags))

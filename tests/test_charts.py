@@ -23,6 +23,7 @@ from chronofuse.errors import (
     DegenerateRange,
     DegenerateValueRange,
     EmptySelection,
+    MalformedStore,
     MissingRange,
     TooFewSlices,
     UnknownMetric,
@@ -309,17 +310,39 @@ def test_spec_text_round_trip(small_table):
         assert spec_from_text(spec_to_text(spec)) == spec
 
 
+SPEC_TEXT = (
+    "chronofuse-chart 1\n"
+    "kind line\n"
+    "time_range 2021-01-01..2021-01-03\n"
+    "slots 0\n"
+    "labels 2021-01-01,2021-01-02,2021-01-03\n"
+    "palette 0\n"
+    "series 1\n"
+    "s glucose|none||0.0:90.0 1.0:110.0 2.0:100.0\n"
+    "end\n"
+)
+
+
 def test_spec_text_golden(small_table):
     spec = build_line_chart(small_table, ["glucose"], normalization=Normalization.NONE)
-    text = spec_to_text(spec)
-    assert text == (
-        "chronofuse-chart 1\n"
-        "kind line\n"
-        "time_range 2021-01-01..2021-01-03\n"
-        "slots 0\n"
-        "labels 2021-01-01,2021-01-02,2021-01-03\n"
-        "palette 0\n"
-        "series 1\n"
-        "s glucose|none||0.0:90.0 1.0:110.0 2.0:100.0\n"
-        "end\n"
-    )
+    assert spec_to_text(spec) == SPEC_TEXT
+    assert spec_from_text(SPEC_TEXT) == spec
+
+
+@pytest.mark.parametrize(
+    "record, bad",
+    [
+        ("kind line", "kind sunburst"),
+        ("slots 0", "slots zero"),
+        ("series 1", "series one"),
+        ("palette 0", "palette 0,x"),
+        ("s glucose|none||", "s glucose|none|"),
+        ("0.0:90.0 ", "0.0:ninety "),
+        ("0.0:90.0 ", "0.0 "),
+    ],
+    ids=["unknown-kind", "slots", "series", "palette", "field-count", "point-value", "point-form"],
+)
+def test_spec_from_text_rejects_bad_records(record, bad):
+    assert record in SPEC_TEXT
+    with pytest.raises(MalformedStore):
+        spec_from_text(SPEC_TEXT.replace(record, bad, 1))

@@ -250,3 +250,29 @@ def test_config_date_order(tmp_path, lexicon_arg):
     assert code == 0
     observations, _ = load_observations(out / "observations.txt")
     assert observations[0].time.date.isoformat() == "2021-03-14"
+
+
+# --- non-finite numbers in inputs ---
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("cell.txt", "chronofuse-table 1\ngranularity day\ncolumns 1\ncol a||||r1\n"
+                     "rows 1\nrow 2021-01-01|a=nan@r1\nend\n"),
+        ("col-range.txt", "chronofuse-table 1\ngranularity day\ncolumns 1\ncol a||0.0..inf||r1\n"
+                          "rows 1\nrow 2021-01-01|a=1.0@r1\nend\n"),
+        ("obs.txt", "chronofuse-observations 1\nranges 0\nobservations 1\n"
+                    "obs r1|a|inf||2021-01-01|\nend\n"),
+        ("obs-range.txt", "chronofuse-observations 1\nranges 1\nrange a|-inf..1.0|\n"
+                          "observations 0\nend\n"),
+    ],
+    ids=["cell-value", "column-range", "observation-value", "archive-range"],
+)
+def test_non_finite_inputs_exit_2_with_named_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["render", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error: MalformedStore:" in err
+    assert "internal error" not in err

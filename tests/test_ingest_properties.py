@@ -1,0 +1,276 @@
+"""Differential property tests for the ingest matchers.
+
+Each compiled matcher is checked against a reference copy of the
+straightforward implementation it replaced, kept below: one regex per alias
+per line for the alias scan, a linear entry search for `entry_for`, and the
+timestamp grammar without its pre-check.
+"""
+
+import datetime as dt
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chronofuse import (
+    DateOrder,
+    LexiconEntry,
+    MetricLexicon,
+    ReportDocument,
+    ReportFormat,
+    TimePoint,
+    extract_observations,
+    parse_measurement,
+    parse_timestamp,
+)
+from chronofuse.errors import NoTimestamp
+
+# --- reference implementations ---
+
+_NUMBER_RE = re.compile(r"[+-]?\d+(?:\.\d+)?")
+_TOKEN_EDGE = ":;,()[]{}\"'"
+
+
+def reference_scan(line, lexicon):
+    """Returns ((metric, value, unit) | None, warning | None)."""
+    best = None
+    for alias, entry in lexicon.iter_aliases():
+        pattern = re.compile(
+            r"(?<![A-Za-z0-9])" + re.escape(alias) + r"(?![A-Za-z0-9])", re.IGNORECASE
+        )
+        for m in pattern.finditer(line):
+            key = (-len(alias), m.start())
+            if best is None or key < (best[0], best[1]):
+                best = (-len(alias), m.start(), alias, entry)
+    if best is None:
+        return None, None
+    alias_len, start, alias, entry = -best[0], best[1], best[2], best[3]
+    rest = line[start + alias_len:]
+
+    value = None
+    unit = ""
+    mismatch = False
+    saw_digits = False
+    tokens = rest.split()
+    for idx, token in enumerate(tokens):
+        stripped = token.strip(_TOKEN_EDGE)
+        if not stripped:
+            continue
+        if _NUMBER_RE.fullmatch(stripped):
+            value = float(stripped)
+            unit, mismatch = reference_resolve_unit(tokens[idx + 1:], entry)
+            break
+        if any(ch.isdigit() for ch in stripped):
+            saw_digits = True
+            break
+    if value is None:
+        reason = "malformed numeral" if saw_digits else "no numeric value"
+        return None, f"{reason} after alias {alias!r} (metric {entry.canonical!r})"
+    warning = None
+    if mismatch:
+        warning = (
+            f"unexpected unit after {entry.canonical!r} value; expected one of "
+            f"{', '.join(entry.units)}"
+        )
+    return (entry.canonical, value, unit), warning
+
+
+def reference_resolve_unit(tokens, entry):
+    for token in tokens:
+        stripped = token.strip(_TOKEN_EDGE)
+        if not stripped:
+            continue
+        for expected in entry.units:
+            if stripped.lower() == expected.lower():
+                return expected, False
+        return "", True
+    return "", False
+
+
+def reference_entry_for(lexicon, name):
+    key = name.lower()
+    for entry in lexicon.entries:
+        if entry.canonical.lower() == key or key in (a.lower() for a in entry.aliases):
+            return entry
+    return None
+
+
+_ISO_RE = re.compile(r"(?<!\d)(\d{4})-(\d{2})-(\d{2})(?!\d)")
+_SLASH_RE = re.compile(r"(?<!\d)(\d{2})/(\d{2})/(\d{4})(?!\d)")
+_DASH_RE = re.compile(r"(?<!\d)(\d{2})-(\d{2})-(\d{4})(?!\d)")
+_TIME_RE = re.compile(r"[ \t]+(\d{2}):(\d{2})(?!\d)")
+
+
+def reference_parse_timestamp(text, date_order=DateOrder.DMY):
+    candidates = []
+    for match in _ISO_RE.finditer(text):
+        y, m, d = (int(g) for g in match.groups())
+        date = _checked_date(y, m, d)
+        if date is not None:
+            candidates.append((match.start(), date, match.end()))
+    for match in _SLASH_RE.finditer(text):
+        a, b, y = (int(g) for g in match.groups())
+        day, month = (a, b) if date_order is DateOrder.DMY else (b, a)
+        date = _checked_date(y, month, day)
+        if date is not None:
+            candidates.append((match.start(), date, match.end()))
+    for match in _DASH_RE.finditer(text):
+        m, d, y = (int(g) for g in match.groups())
+        date = _checked_date(y, m, d)
+        if date is not None:
+            candidates.append((match.start(), date, match.end()))
+    if not candidates:
+        raise NoTimestamp(f"no accepted timestamp in {text!r}")
+    start, date, end = min(candidates)
+    time_match = _TIME_RE.match(text, end)
+    if time_match:
+        hh, mm = int(time_match.group(1)), int(time_match.group(2))
+        if hh <= 23 and mm <= 59:
+            return TimePoint.minute(date, dt.time(hh, mm))
+    return TimePoint.day(date)
+
+
+def _checked_date(year, month, day):
+    try:
+        return dt.date(year, month, day)
+    except ValueError:
+        return None
+
+
+# --- strategies ---
+
+# Prefix-sharing stems, so generated aliases nest (glu / glucose / glucose level).
+STEMS = ["glu", "cose", " level", "hb", "a1c", "pulse", "-", ".", "2", "(", "%", " "]
+# ASCII, digits, edge punctuation and non-ASCII letters, including characters
+# whose case mappings are irregular: dotted/dotless i, long s, Kelvin sign,
+# micro sign, final sigma, sharp s, angstrom sign.
+ALPHABET = "abgkisAGKIS019-./%()+ éÉüÜåÅßẞİıſµμσςΣ\u212a\u212b"
+CASINGS = [str, str.upper, str.lower, str.title, str.swapcase]
+UNITS = ["mg/dL", "%", "mmol/L", "bpm", "K"]
+SEPARATORS = [" ", "  ", ":", ": ", ", ", "-", "(", ")", "/", ".", "\t"]
+DATES = ["2021-03-04", "04/03/2021", "03-04-2021", "2021-03-04 12:30", "31/02/2021"]
+
+names = st.one_of(
+    st.lists(st.sampled_from(STEMS), min_size=1, max_size=3).map("".join),
+    st.text(ALPHABET, min_size=1, max_size=6),
+)
+
+
+@st.composite
+def lexicons(draw):
+    spellings = draw(st.lists(names, min_size=1, max_size=12, unique_by=str.lower))
+    groups = [[spellings[0]]]
+    for name in spellings[1:]:
+        if draw(st.booleans()):
+            groups.append([name])
+        else:
+            groups[-1].append(name)
+    owner = {name.lower(): index for index, group in enumerate(groups) for name in group}
+    entries = []
+    for index, group in enumerate(groups):
+        aliases = list(group[1:])
+        # A case variant of a name in the same entry shares its trie slot. Case
+        # mapping can turn it into another entry's name ("ſ".upper() == "S"),
+        # which the lexicon rightly rejects, so such variants are skipped.
+        for name in draw(st.lists(st.sampled_from(group), max_size=2)):
+            variant = draw(st.sampled_from(CASINGS))(name)
+            if owner.setdefault(variant.lower(), index) == index:
+                aliases.insert(draw(st.integers(0, len(aliases))), variant)
+        units = tuple(draw(st.lists(st.sampled_from(UNITS), max_size=2, unique=True)))
+        entries.append(LexiconEntry(group[0], tuple(aliases), units))
+    return MetricLexicon(entries)
+
+
+def fragments(lexicon):
+    aliases = [alias for alias, _ in lexicon.iter_aliases()]
+    alias_forms = st.builds(
+        lambda alias, casing, cut: casing(alias)[:cut] if cut else casing(alias),
+        st.sampled_from(aliases),
+        st.sampled_from(CASINGS),
+        st.integers(0, 4),
+    )
+    numbers = st.one_of(
+        st.integers(-300, 300).map(str),
+        st.floats(-1000, 1000, allow_nan=False).map(lambda v: f"{v:.2f}"),
+        st.sampled_from(["1.", ".5", "12a", "7,5", "1e3", "--2"]),
+    )
+    return st.one_of(
+        alias_forms,
+        st.sampled_from(SEPARATORS),
+        numbers,
+        st.sampled_from(DATES),
+        st.sampled_from(UNITS).map(str.lower),
+        st.text(ALPHABET, max_size=4),
+    )
+
+
+@st.composite
+def lexicon_and_lines(draw):
+    lexicon = draw(lexicons())
+    line = st.lists(fragments(lexicon), max_size=8).map("".join)
+    return lexicon, draw(st.lists(line, min_size=1, max_size=6))
+
+
+# --- properties ---
+
+
+@settings(max_examples=200, deadline=None)
+@given(lexicon_and_lines())
+def test_alias_matcher_agrees_with_per_alias_scan(case):
+    lexicon, lines = case
+    for line in lines:
+        assert parse_measurement(line, lexicon) == reference_scan(line, lexicon)[0]
+
+    document = ["2020-01-01", *lines]
+    _, warnings = extract_observations(
+        ReportDocument("r", "r.txt", document, ReportFormat.PLAIN_TEXT), lexicon
+    )
+    expected = [
+        f"r:{lineno}: {warning}"
+        for lineno, line in enumerate(document, start=1)
+        if (warning := reference_scan(line, lexicon)[1])
+    ]
+    assert warnings == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_entry_for_agrees_with_linear_search(data):
+    lexicon = data.draw(lexicons())
+    aliases = [alias for alias, _ in lexicon.iter_aliases()]
+    probes = data.draw(
+        st.lists(
+            st.one_of(
+                st.builds(lambda a, c: c(a), st.sampled_from(aliases), st.sampled_from(CASINGS)),
+                names,
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    for name in probes:
+        assert lexicon.entry_for(name) is reference_entry_for(lexicon, name)
+
+
+timestamp_text = st.lists(
+    st.one_of(
+        st.sampled_from(DATES),
+        st.sampled_from(["-", "/", " ", ":", "\t", "T"]),
+        st.text("0123456789-/: ", max_size=12),
+        st.text(ALPHABET, max_size=4),
+    ),
+    max_size=8,
+).map("".join)
+
+
+def _outcome(parse, text, order):
+    try:
+        return parse(text, order)
+    except NoTimestamp as exc:
+        return ("NoTimestamp", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(timestamp_text, st.sampled_from(list(DateOrder)))
+def test_timestamp_precheck_keeps_the_grammar(text, order):
+    assert _outcome(parse_timestamp, text, order) == _outcome(reference_parse_timestamp, text, order)

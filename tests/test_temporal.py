@@ -356,3 +356,60 @@ def test_save_refuses_reserved_characters(tmp_path):
     with pytest.raises(ValueError):
         save_observations([obs("m", 1.0, "2021-01-01", source="r@1")], tmp_path / "o.txt")
     assert not (tmp_path / "t.txt").exists() and not (tmp_path / "o.txt").exists()
+
+
+# --- non-finite numbers ---
+
+
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_store_rejects_non_finite_cell_value(tmp_path, bad):
+    path = tmp_path / "t.txt"
+    path.write_text(
+        "chronofuse-table 1\ngranularity day\ncolumns 1\ncol a||||r1\n"
+        f"rows 1\nrow 2021-01-01|a={bad}@r1\nend\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedStore, match="cell value"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("rng", ["0.0..inf", "-inf..1.0", "nan..1.0"])
+def test_store_rejects_non_finite_reference_range(tmp_path, rng):
+    path = tmp_path / "t.txt"
+    path.write_text(
+        f"chronofuse-table 1\ngranularity day\ncolumns 1\ncol a||{rng}||r1\n"
+        "rows 1\nrow 2021-01-01|a=1.0@r1\nend\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedStore, match="reference range"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_archive_rejects_non_finite_observation_value(tmp_path, bad):
+    from chronofuse import load_observations
+
+    path = tmp_path / "o.txt"
+    path.write_text(
+        "chronofuse-observations 1\nranges 0\nobservations 1\n"
+        f"obs r1|a|{bad}||2021-01-01|\nend\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedStore, match="observation value"):
+        load_observations(path)
+
+
+@pytest.mark.parametrize("rng", ["0.0..inf", "-inf..1.0", "nan..1.0"])
+def test_archive_rejects_non_finite_reference_range(tmp_path, rng):
+    from chronofuse import load_observations
+
+    path = tmp_path / "o.txt"
+    path.write_text(
+        f"chronofuse-observations 1\nranges 1\nrange a|{rng}|\nobservations 0\nend\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedStore, match="reference range"):
+        load_observations(path)
