@@ -9,8 +9,12 @@ entries by source then value) so that fusion is order-independent.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import math
+import operator
+import os
+import tempfile
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -173,25 +177,9 @@ def fuse(
     Raises UnitConflict when one metric arrives with two different
     non-empty units.
     """
-    cells: dict[tuple[TimeSlice, str], list[CellEntry]] = {}
-    units: dict[str, str] = {}
-    sources: dict[str, set[str]] = {}
-    flagged: dict[str, dict[str, int]] = {}
-
-    for obs in observations:
-        if not math.isfinite(obs.value):
-            raise ValueError(f"non-finite value for {obs.metric} from {obs.source}")
-        key = (slice_for(obs.time, granularity), obs.metric)
-        cells.setdefault(key, []).append(CellEntry(obs.value, obs.source))
-        _merge_unit(units, obs.metric, obs.unit)
-        sources.setdefault(obs.metric, set()).add(obs.source)
-        for flag in obs.flags:
-            flagged.setdefault(obs.metric, {}).setdefault(flag, 0)
-            flagged[obs.metric][flag] += 1
-
-    table = _assemble(granularity, cells, units, sources, ranges or {})
-    warnings = _fusion_warnings(cells, flagged)
-    return table, warnings
+    acc = _Accumulator(granularity, ranges=ranges)
+    acc.add_observations(observations)
+    return acc.table(), acc.warnings()
 
 
 def _merge_unit(units: dict[str, str], metric: str, unit: str) -> None:
@@ -204,40 +192,99 @@ def _merge_unit(units: dict[str, str], metric: str, unit: str) -> None:
         units.setdefault(metric, current)
 
 
-def _assemble(granularity, cells, units, sources, ranges) -> TemporalTable:
-    columns = tuple(
-        ColumnDescriptor(
-            metric=metric,
-            unit=units.get(metric, ""),
-            reference_range=ranges.get(metric),
-            source_reports=frozenset(sources.get(metric, ())),
-        )
-        for metric in sorted(units)
-    )
-    by_slice: dict[TimeSlice, dict[str, list[CellEntry]]] = {}
-    for (ts, metric), entries in cells.items():
-        by_slice.setdefault(ts, {})[metric] = entries
-    rows: dict[TimeSlice, dict[str, Cell]] = {}
-    for ts in sorted(by_slice, key=lambda s: s.start_date):
-        rows[ts] = {
-            metric: Cell(tuple(sorted(by_slice[ts][metric], key=lambda e: (e.source, e.value))))
-            for metric in sorted(by_slice[ts])
-        }
-    return TemporalTable(granularity=granularity, columns=columns, rows=rows)
+# canonical cell entry order: by source, then value
+_entry_order = operator.attrgetter("source", "value")
 
 
-def _fusion_warnings(cells, flagged) -> list[str]:
-    warnings = []
-    for metric in sorted(flagged):
-        for flag in sorted(flagged[metric]):
-            warnings.append(f"metric {metric}: {flagged[metric][flag]} observation(s) flagged {flag}")
-    for ts, metric in sorted(cells, key=lambda k: (k[0].start_date, k[1])):
-        n = len(cells[(ts, metric)])
-        if n > 1:
-            warnings.append(
-                f"slice {ts.start_date.isoformat()} metric {metric}: {n} entries accumulated"
+class _Accumulator:
+    """Collects cell entries by slice start date and metric, then builds a table.
+
+    Entries are keyed by `datetime.date` rather than `TimeSlice`, so a
+    slice is built (and hashed) once per output row, not once per entry.
+    Columns start from `columns` (their units, sources and ranges) and grow
+    with the observations added; `ranges` override the columns' ranges.
+    """
+
+    def __init__(
+        self,
+        granularity: Granularity,
+        columns: Iterable[ColumnDescriptor] = (),
+        ranges: Mapping[str, RefRange] | None = None,
+    ):
+        self.granularity = granularity
+        self.entries: dict[dt.date, dict[str, list[CellEntry]]] = {}
+        self.units: dict[str, str] = {}
+        self.sources: dict[str, set[str]] = {}
+        self.ranges: dict[str, RefRange] = {}
+        for c in columns:
+            self.units[c.metric] = c.unit
+            self.sources[c.metric] = set(c.source_reports)
+            if c.reference_range is not None:
+                self.ranges[c.metric] = c.reference_range
+        self.ranges.update(ranges or {})
+        self.flagged: dict[str, dict[str, int]] = {}
+
+    def add_observations(self, observations: Iterable[Observation]) -> None:
+        for obs in observations:
+            if not math.isfinite(obs.value):
+                raise ValueError(f"non-finite value for {obs.metric} from {obs.source}")
+            row = self.entries.setdefault(slice_start(obs.time.date, self.granularity), {})
+            row.setdefault(obs.metric, []).append(CellEntry(obs.value, obs.source))
+            _merge_unit(self.units, obs.metric, obs.unit)
+            self.sources.setdefault(obs.metric, set()).add(obs.source)
+            for flag in obs.flags:
+                counts = self.flagged.setdefault(obs.metric, {})
+                counts[flag] = counts.get(flag, 0) + 1
+
+    def add_rows(self, rows: Mapping[TimeSlice, Mapping[str, Cell]]) -> None:
+        """Feed existing cells (whose columns were given at construction)."""
+        for ts, row in rows.items():
+            target = self.entries.setdefault(slice_start(ts.start.date, self.granularity), {})
+            for metric, cell in row.items():
+                target.setdefault(metric, []).extend(cell.entries)
+
+    def table(self, base: Mapping[TimeSlice, Mapping[str, Cell]] | None = None) -> TemporalTable:
+        """Build the table; with `base`, merge into its rows and share the rest."""
+        columns = tuple(
+            ColumnDescriptor(
+                metric=metric,
+                unit=self.units[metric],
+                reference_range=self.ranges.get(metric),
+                source_reports=frozenset(self.sources[metric]),
             )
-    return warnings
+            for metric in sorted(self.units)
+        )
+        rows: dict[TimeSlice, dict[str, Cell]] = dict(base) if base else {}
+        last = next(reversed(rows)).start.date if rows else None
+        out_of_order = False
+        for day in sorted(self.entries):
+            ts = TimeSlice(TimePoint.day(day), self.granularity)
+            old = rows.get(ts, {}) if base else {}
+            cells = dict(old)
+            for metric, entries in self.entries[day].items():
+                if metric in old:
+                    entries = [*old[metric].entries, *entries]
+                cells[metric] = Cell(tuple(sorted(entries, key=_entry_order)))
+            if not old and last is not None and day < last:
+                out_of_order = True
+            rows[ts] = {metric: cells[metric] for metric in sorted(cells)}
+        if out_of_order:
+            rows = dict(sorted(rows.items(), key=lambda item: item[0].start.date))
+        return TemporalTable(granularity=self.granularity, columns=columns, rows=rows)
+
+    def warnings(self) -> list[str]:
+        warnings = []
+        for metric in sorted(self.flagged):
+            for flag in sorted(self.flagged[metric]):
+                count = self.flagged[metric][flag]
+                warnings.append(f"metric {metric}: {count} observation(s) flagged {flag}")
+        for day in sorted(self.entries):
+            row = self.entries[day]
+            for metric in sorted(row):
+                n = len(row[metric])
+                if n > 1:
+                    warnings.append(f"slice {day.isoformat()} metric {metric}: {n} entries accumulated")
+        return warnings
 
 
 def add_report(
@@ -249,30 +296,13 @@ def add_report(
     """Fold additional observations into an existing table.
 
     Equivalent to re-fusing the union of everything the table holds with
-    the new observations; columns grow dynamically as before.
+    the new observations; columns grow dynamically as before. Only the
+    slices the observations touch are rebuilt: every other row, and every
+    untouched cell of a touched row, is shared with the input table.
     """
-    cells: dict[tuple[TimeSlice, str], list[CellEntry]] = {
-        (ts, metric): list(cell.entries)
-        for ts, row in table.rows.items()
-        for metric, cell in row.items()
-    }
-    units = {c.metric: c.unit for c in table.columns}
-    sources = {c.metric: set(c.source_reports) for c in table.columns}
-    merged_ranges = {
-        c.metric: c.reference_range for c in table.columns if c.reference_range is not None
-    }
-    if ranges:
-        merged_ranges.update(ranges)
-
-    for obs in observations:
-        if not math.isfinite(obs.value):
-            raise ValueError(f"non-finite value for {obs.metric} from {obs.source}")
-        key = (slice_for(obs.time, table.granularity), obs.metric)
-        cells.setdefault(key, []).append(CellEntry(obs.value, obs.source))
-        _merge_unit(units, obs.metric, obs.unit)
-        sources.setdefault(obs.metric, set()).add(obs.source)
-
-    return _assemble(table.granularity, cells, units, sources, merged_ranges)
+    acc = _Accumulator(table.granularity, table.columns, ranges)
+    acc.add_observations(observations)
+    return acc.table(base=table.rows)
 
 
 def slice_range(table: TemporalTable, start: TimePoint, end: TimePoint) -> TemporalTable:
@@ -288,17 +318,14 @@ def slice_range(table: TemporalTable, start: TimePoint, end: TimePoint) -> Tempo
         for ts, row in table.rows.items()
         if ts.start_date <= end.date and ts.end_date > start.date
     }
-    surviving = {metric for row in kept.values() for metric in row}
+    sources: dict[str, set[str]] = {}
+    for row in kept.values():
+        for metric, cell in row.items():
+            sources.setdefault(metric, set()).update(e.source for e in cell.entries)
     columns = tuple(
-        replace(
-            column,
-            source_reports=frozenset(
-                e.source for row in kept.values() for m, c in row.items() if m == column.metric
-                for e in c.entries
-            ),
-        )
+        replace(column, source_reports=frozenset(sources[column.metric]))
         for column in table.columns
-        if column.metric in surviving
+        if column.metric in sources
     )
     return TemporalTable(granularity=table.granularity, columns=columns, rows=kept)
 
@@ -310,15 +337,9 @@ def rebucket(table: TemporalTable, granularity: Granularity) -> TemporalTable:
         raise ValueError(f"cannot rebucket {table.granularity.value} table to {granularity.value}")
     if granularity is table.granularity:
         return table
-    cells: dict[tuple[TimeSlice, str], list[CellEntry]] = {}
-    for ts, row in table.rows.items():
-        target = slice_for(ts.start, granularity)
-        for metric, cell in row.items():
-            cells.setdefault((target, metric), []).extend(cell.entries)
-    units = {c.metric: c.unit for c in table.columns}
-    sources = {c.metric: set(c.source_reports) for c in table.columns}
-    ranges = {c.metric: c.reference_range for c in table.columns if c.reference_range}
-    return _assemble(granularity, cells, units, sources, ranges)
+    acc = _Accumulator(granularity, table.columns)
+    acc.add_rows(table.rows)
+    return acc.table()
 
 
 def aggregate_cell(cell: Cell, aggregator: Aggregator = Aggregator.MEAN) -> float:
@@ -421,11 +442,17 @@ def load_table(path: str | Path) -> TemporalTable:
     n_columns = cursor.expect_count("columns")
     columns = tuple(_parse_column(cursor.expect_field("col"), cursor) for _ in range(n_columns))
     n_rows = cursor.expect_count("rows")
+    metrics = {column.metric for column in columns}
     rows: dict[TimeSlice, dict[str, Cell]] = {}
+    previous: dt.date | None = None
     for _ in range(n_rows):
-        ts, row = _parse_row(cursor.expect_field("row"), granularity, cursor)
-        if ts in rows:
-            cursor.fail(f"duplicate row for slice {ts.start_date.isoformat()}")
+        ts, row = _parse_row(cursor.expect_field("row"), granularity, metrics, cursor)
+        # add_report re-sorts only the rows it touches, so loaded rows must be canonical
+        if previous is not None and ts.start_date <= previous:
+            if ts.start_date == previous:
+                cursor.fail(f"duplicate row for slice {previous.isoformat()}")
+            cursor.fail(f"row {ts.start_date.isoformat()} comes after row {previous.isoformat()}")
+        previous = ts.start_date
         rows[ts] = row
     if cursor.next() != "end":
         raise MalformedStore(f"{path.name}: missing end sentinel (truncated file?)")
@@ -472,7 +499,7 @@ def _parse_column(text: str, cursor: _Cursor) -> ColumnDescriptor:
     return ColumnDescriptor(metric, unit, reference_range, sources)
 
 
-def _parse_row(text: str, granularity: Granularity, cursor: _Cursor):
+def _parse_row(text: str, granularity: Granularity, metrics: set[str], cursor: _Cursor):
     parts = text.split("|")
     try:
         start = dt.date.fromisoformat(parts[0])
@@ -483,19 +510,28 @@ def _parse_row(text: str, granularity: Granularity, cursor: _Cursor):
     except ValueError as exc:
         cursor.fail(str(exc))
     row: dict[str, Cell] = {}
+    previous: str | None = None
     for cell_text in parts[1:]:
         metric, sep, entries_text = cell_text.partition("=")
         if not sep or not entries_text:
             cursor.fail(f"bad cell record {cell_text!r}")
-        if metric in row:
-            cursor.fail(f"duplicate cell for metric {metric!r}")
+        if previous is not None and metric <= previous:
+            if metric == previous:
+                cursor.fail(f"duplicate cell for metric {metric!r}")
+            cursor.fail(f"cell for metric {metric!r} comes after {previous!r}")
+        if metric not in metrics:
+            cursor.fail(f"cell for metric {metric!r} has no col record")
+        previous = metric
         entries = []
         for entry_text in entries_text.split(";"):
             value_text, sep2, source = entry_text.partition("@")
             value = _finite_float(value_text, "cell value", cursor)
             if not sep2 or not source:
                 cursor.fail(f"bad cell entry {entry_text!r}")
-            entries.append(CellEntry(value, source))
+            entry = CellEntry(value, source)
+            if entries and _entry_order(entry) < _entry_order(entries[-1]):
+                cursor.fail(f"cell entries for metric {metric!r} are not sorted by (source, value)")
+            entries.append(entry)
         row[metric] = Cell(tuple(entries))
     return ts, row
 
@@ -609,7 +645,25 @@ def _parse_archive_time(text: str, cursor: _Cursor) -> TimePoint:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a temp file and rename, so readers never see partial files."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    """Write via a temp file and rename, so readers never see partial files.
+
+    The temp file gets a unique name in the target's directory, so two
+    writers never share it, and it is removed if the write fails. The file
+    gets the mode a plain write would give it (0666 less the umask).
+    """
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask

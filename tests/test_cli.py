@@ -152,6 +152,18 @@ def test_render_rejects_garbage_input(tmp_path, capsys):
     assert main(["render", str(noise), "--out", str(tmp_path)]) == 2
 
 
+def test_render_rejects_reversed_store(tmp_path, capsys):
+    # loading this as it stands would draw a time axis that runs backwards
+    store = tmp_path / "reversed.txt"
+    store.write_text(
+        "chronofuse-table 1\ngranularity day\ncolumns 1\ncol a||||r1\nrows 2\n"
+        "row 2021-01-05|a=1.0@r1\nrow 2021-01-04|a=2.0@r1\nend\n",
+        encoding="utf-8",
+    )
+    assert main(["render", str(store), "--out", str(tmp_path / "out")]) == 2
+    assert "error: MalformedStore:" in capsys.readouterr().err
+
+
 def test_render_unknown_metric(tmp_path, store_path):
     assert main(["render", str(store_path), "--metrics", "nope", "--out", str(tmp_path)]) == 2
 

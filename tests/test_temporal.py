@@ -1,7 +1,12 @@
 import datetime as dt
+import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronofuse import (
     Aggregator,
@@ -413,3 +418,158 @@ def test_archive_rejects_non_finite_reference_range(tmp_path, rng):
     )
     with pytest.raises(MalformedStore, match="reference range"):
         load_observations(path)
+
+
+# --- canonical order enforced by the loader ---
+
+
+STORE_HEAD = "chronofuse-table 1\ngranularity day\ncolumns 2\ncol a||||r1,r2\ncol b||||r1\n"
+
+
+def write_store(tmp_path, rows):
+    path = tmp_path / "t.txt"
+    body = "".join(f"row {row}\n" for row in rows)
+    path.write_text(f"{STORE_HEAD}rows {len(rows)}\n{body}end\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["2021-01-02|a=1.0@r1", "2021-01-01|a=2.0@r1"], "row 2021-01-01 comes after row 2021-01-02"),
+        (["2021-01-01|a=1.0@r1", "2021-01-01|b=2.0@r1"], "duplicate row"),
+        (["2021-01-01|b=1.0@r1|a=2.0@r1"], "cell for metric 'a' comes after 'b'"),
+        (["2021-01-01|a=1.0@r1|a=2.0@r1"], "duplicate cell"),
+        (["2021-01-01|a=1.0@r2;2.0@r1"], "not sorted by"),
+        (["2021-01-01|a=2.0@r1;1.0@r1"], "not sorted by"),
+        (["2021-01-01|a=1.0@r1|c=2.0@r1"], "cell for metric 'c' has no col record"),
+    ],
+    ids=["rows-reversed", "rows-duplicate", "metrics-unsorted", "metrics-duplicate",
+         "entries-unsorted-source", "entries-unsorted-value", "metric-without-column"],
+)
+def test_store_rejects_non_canonical_order(tmp_path, rows, message):
+    with pytest.raises(MalformedStore, match=message):
+        load_table(write_store(tmp_path, rows))
+
+
+def test_store_accepts_equal_cell_entries(tmp_path):
+    table = load_table(write_store(tmp_path, ["2021-01-01|a=1.0@r1;1.0@r1;1.0@r2|b=3.0@r1"]))
+    assert next(iter(table.rows.values()))["a"].values == (1.0, 1.0, 1.0)
+
+
+# --- fusion invariants on generated observations ---
+
+
+def store_bytes(table) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.txt"
+        save_table(table, path)
+        return path.read_bytes()
+
+
+DAY0 = dt.date(2021, 1, 1)
+# days per slice step, so that offsets 2k * step fall in slices with gaps between them
+STEP = {Granularity.DAY: 1, Granularity.WEEK: 7, Granularity.MONTH: 31}
+UNITS = {"a": "mg/dL", "b": "%", "new": "mmol/L"}
+RANGES = {"a": RefRange(70.0, 140.0, "mg/dL"), "new": RefRange(0.0, 1.0, "mmol/L")}
+
+
+@st.composite
+def observation_at(draw, offset, metrics=("a", "b", "c")):
+    metric = draw(st.sampled_from(metrics))
+    date = DAY0 + dt.timedelta(days=offset)
+    minute = draw(st.none() | st.times().map(lambda t: t.replace(second=0, microsecond=0)))
+    return Observation(
+        metric=metric,
+        value=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        unit=draw(st.sampled_from(["", UNITS.get(metric, "")])),
+        time=TimePoint.day(date) if minute is None else TimePoint.minute(date, minute),
+        source=draw(st.sampled_from(["r1", "r2", "r3"])),
+    )
+
+
+@st.composite
+def base_and_additions(draw):
+    """Observations A, and B with slices before, inside, between and after A's."""
+    granularity = draw(st.sampled_from(list(Granularity)))
+    step = STEP[granularity]
+    base_offsets = st.integers(10, 40).map(lambda k: 2 * k * step)
+    base = draw(st.lists(base_offsets.flatmap(observation_at), min_size=1, max_size=12))
+    first = min(o.time.date for o in base)
+    any_offset = st.integers(0, 100 * step)
+    metrics = ("a", "b", "c", "new", "z")
+    additions = draw(st.lists(any_offset.flatmap(lambda d: observation_at(d, metrics)), max_size=8))
+    inside = draw(st.sampled_from(base)).time.date
+    for offset in (
+        draw(st.integers(0, 10 * step)),  # before
+        (inside - DAY0).days,  # inside
+        (first - DAY0).days + step,  # between, when A has a later slice
+        draw(st.integers(90 * step, 100 * step)),  # after
+    ):
+        additions.append(draw(observation_at(offset)))
+    additions.append(draw(observation_at(draw(any_offset), ("new",))))
+    return granularity, base, additions
+
+
+@settings(max_examples=100, deadline=None)
+@given(base_and_additions())
+def test_add_report_equals_fusing_the_union(case):
+    granularity, base, additions = case
+    table, _ = fuse(base, granularity, ranges=RANGES)
+    before = store_bytes(table)
+    added = add_report(table, additions, ranges=RANGES)
+    expected, _ = fuse(base + additions, granularity, ranges=RANGES)
+    assert added == expected
+    assert all(list(row) == sorted(row) for row in added.rows.values())
+    assert store_bytes(added) == store_bytes(expected)
+    # the result shares rows with its input, which must stay as it was
+    assert store_bytes(table) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(base_and_additions(), st.sampled_from([Granularity.WEEK, Granularity.MONTH]))
+def test_rebucket_equals_fusing_at_the_coarser_granularity(case, granularity):
+    _, base, additions = case
+    observations = base + additions
+    daily, _ = fuse(observations, Granularity.DAY, ranges=RANGES)
+    coarse, _ = fuse(observations, granularity, ranges=RANGES)
+    rebucketed = rebucket(daily, granularity)
+    assert rebucketed == coarse
+    assert list(rebucketed.rows) == list(coarse.rows)  # chronological, like fuse
+
+
+@settings(max_examples=100, deadline=None)
+@given(base_and_additions(), st.randoms(use_true_random=False))
+def test_fuse_is_independent_of_observation_order(case, rng):
+    granularity, base, additions = case
+    observations = base + additions
+    expected = fuse(observations, granularity)
+    rng.shuffle(observations)
+    assert fuse(observations, granularity) == expected
+
+
+# --- atomic writes ---
+
+
+def test_save_ignores_a_stale_temp_name(tmp_path, weekly_table):
+    path = tmp_path / "table.txt"
+    (tmp_path / "table.txt.tmp").mkdir()  # a fixed temp name would collide with this
+    save_table(weekly_table, path)
+    assert load_table(path) == weekly_table
+
+
+def test_failed_save_leaves_no_temp_file(tmp_path):
+    table, _ = fuse([obs("\udc80", 1.0, "2021-01-01")])  # not encodable as UTF-8
+    with pytest.raises(UnicodeEncodeError):
+        save_table(table, tmp_path / "t.txt")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_saved_store_has_the_default_file_mode(tmp_path, weekly_table):
+    mask = os.umask(0o022)
+    try:
+        save_table(weekly_table, tmp_path / "t.txt")
+    finally:
+        os.umask(mask)
+    assert (tmp_path / "t.txt").stat().st_mode & 0o777 == 0o644
