@@ -13,6 +13,7 @@ from chronofuse import (
     Rect,
     RenderedChart,
     build_line_chart,
+    build_radial_bar_chart,
     build_radial_chart,
     default_profile,
     legibility_check,
@@ -232,6 +233,23 @@ def test_render_matches_committed_goldens(line_spec, fixtures_dir):
         golden_diag = (fixtures_dir / "golden" / f"line-{device.value}-diagnostics.txt").read_text(
             encoding="utf-8"
         )
+        assert legibility_report(rendered.diagnostics, profile) == golden_diag
+
+
+@pytest.mark.parametrize("kind, build", [("radial", build_radial_chart),
+                                         ("radial-bar", build_radial_bar_chart)])
+def test_radial_render_matches_committed_goldens(weekly_table, fixtures_dir, kind, build):
+    # bit-exact per-profile goldens for the fixture table drawn as a ring
+    from chronofuse import legibility_report
+
+    spec = build(weekly_table)
+    for device in DeviceClass:
+        profile = default_profile(device)
+        rendered = render_svg(spec, select_layout(spec, profile), profile)
+        golden = fixtures_dir / "golden"
+        golden_svg = (golden / f"{kind}-{device.value}.svg").read_text(encoding="utf-8")
+        assert rendered.svg == golden_svg, f"{kind} SVG drifted for {device.value}"
+        golden_diag = (golden / f"{kind}-{device.value}-diagnostics.txt").read_text(encoding="utf-8")
         assert legibility_report(rendered.diagnostics, profile) == golden_diag
 
 
