@@ -515,10 +515,15 @@ def _render_radial_panel(emitter, spec, panel, indices, profile):
             emitter.polyline(vertices, color, kind="radial_polygon", close=True)
     else:
         slots = radial_bar_slots(n, len(indices))
+        by_slot = []  # per series: slot -> the first point in that slot
+        for i in indices:
+            first = {}
+            for p in spec.series[i].points:
+                first.setdefault(int(p[0]), p)
+            by_slot.append(first)
         for slot_idx, series_pos in ((s, j) for s in range(n) for j in range(len(indices))):
             i = indices[series_pos]
-            series = spec.series[i]
-            point = next((p for p in series.points if int(p[0]) == slot_idx), None)
+            point = by_slot[series_pos].get(slot_idx)
             if point is None:
                 continue
             _, radius = radial_point(slot_idx, n, point[1], lo, hi, R_INNER, R_OUTER)
@@ -645,11 +650,14 @@ def _blank_ratio(marks, w: float, h: float) -> float:
         ix1 = min(nx, int(math.ceil(x1 / CELL_PX)))
         iy0 = int(math.floor(y0 / CELL_PX))
         iy1 = min(ny, int(math.ceil(y1 / CELL_PX)))
+        span = ix1 - ix0
+        if span <= 0:
+            continue
+        row = b"\x01" * span
         for iy in range(iy0, iy1):
-            base = iy * nx
-            for ix in range(ix0, ix1):
-                occupied[base + ix] = 1
-    return 1.0 - sum(occupied) / (nx * ny)
+            base = iy * nx + ix0
+            occupied[base:base + span] = row
+    return 1.0 - occupied.count(1) / (nx * ny)
 
 
 def legibility_report(diagnostics: Diagnostics, profile: DeviceProfile) -> str:

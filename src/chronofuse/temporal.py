@@ -4,7 +4,7 @@ Rows are time slices (day, week, or month buckets), columns are metrics
 created on demand as new reports introduce them. Tables are immutable
 values: fuse and add_report build new tables, and every sequence is kept
 in a canonical order (rows chronological, columns lexicographic, cell
-entries by source then value) so that fusion is order-independent.
+entries by source, value, then sign) so that fusion is order-independent.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import datetime as dt
 import math
-import operator
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -192,8 +191,9 @@ def _merge_unit(units: dict[str, str], metric: str, unit: str) -> None:
         units.setdefault(metric, current)
 
 
-# canonical cell entry order: by source, then value
-_entry_order = operator.attrgetter("source", "value")
+def _entry_order(entry: CellEntry) -> tuple[str, float, float]:
+    """Canonical cell entry order: by source, then value, then sign (-0.0 before 0.0)."""
+    return (entry.source, entry.value, math.copysign(1.0, entry.value))
 
 
 class _Accumulator:
@@ -442,11 +442,11 @@ def load_table(path: str | Path) -> TemporalTable:
     n_columns = cursor.expect_count("columns")
     columns = tuple(_parse_column(cursor.expect_field("col"), cursor) for _ in range(n_columns))
     n_rows = cursor.expect_count("rows")
-    metrics = {column.metric for column in columns}
+    sources: dict[str, set[str]] = {column.metric: set() for column in columns}
     rows: dict[TimeSlice, dict[str, Cell]] = {}
     previous: dt.date | None = None
     for _ in range(n_rows):
-        ts, row = _parse_row(cursor.expect_field("row"), granularity, metrics, cursor)
+        ts, row = _parse_row(cursor.expect_field("row"), granularity, sources, cursor)
         # add_report re-sorts only the rows it touches, so loaded rows must be canonical
         if previous is not None and ts.start_date <= previous:
             if ts.start_date == previous:
@@ -454,6 +454,10 @@ def load_table(path: str | Path) -> TemporalTable:
             cursor.fail(f"row {ts.start_date.isoformat()} comes after row {previous.isoformat()}")
         previous = ts.start_date
         rows[ts] = row
+    for column in columns:
+        if column.source_reports != sources[column.metric]:
+            cursor.fail(f"col {column.metric!r} names sources {sorted(column.source_reports)}, "
+                        f"its cells come from {sorted(sources[column.metric])}")
     if cursor.next() != "end":
         raise MalformedStore(f"{path.name}: missing end sentinel (truncated file?)")
     return TemporalTable(granularity=granularity, columns=columns, rows=rows)
@@ -499,7 +503,8 @@ def _parse_column(text: str, cursor: _Cursor) -> ColumnDescriptor:
     return ColumnDescriptor(metric, unit, reference_range, sources)
 
 
-def _parse_row(text: str, granularity: Granularity, metrics: set[str], cursor: _Cursor):
+def _parse_row(text: str, granularity: Granularity, sources: dict[str, set[str]], cursor: _Cursor):
+    """Parse one row; adds each cell's sources to `sources`, keyed by the known metrics."""
     parts = text.split("|")
     try:
         start = dt.date.fromisoformat(parts[0])
@@ -509,6 +514,8 @@ def _parse_row(text: str, granularity: Granularity, metrics: set[str], cursor: _
         ts = TimeSlice(TimePoint.day(start), granularity)
     except ValueError as exc:
         cursor.fail(str(exc))
+    if len(parts) == 1:
+        cursor.fail(f"row {parts[0]} has no cells")
     row: dict[str, Cell] = {}
     previous: str | None = None
     for cell_text in parts[1:]:
@@ -519,7 +526,8 @@ def _parse_row(text: str, granularity: Granularity, metrics: set[str], cursor: _
             if metric == previous:
                 cursor.fail(f"duplicate cell for metric {metric!r}")
             cursor.fail(f"cell for metric {metric!r} comes after {previous!r}")
-        if metric not in metrics:
+        cell_sources = sources.get(metric)
+        if cell_sources is None:
             cursor.fail(f"cell for metric {metric!r} has no col record")
         previous = metric
         entries = []
@@ -530,8 +538,9 @@ def _parse_row(text: str, granularity: Granularity, metrics: set[str], cursor: _
                 cursor.fail(f"bad cell entry {entry_text!r}")
             entry = CellEntry(value, source)
             if entries and _entry_order(entry) < _entry_order(entries[-1]):
-                cursor.fail(f"cell entries for metric {metric!r} are not sorted by (source, value)")
+                cursor.fail(f"cell entries for metric {metric!r} are not sorted by (source, value, sign)")
             entries.append(entry)
+            cell_sources.add(source)
         row[metric] = Cell(tuple(entries))
     return ts, row
 

@@ -1,0 +1,86 @@
+"""Differential property test for the legibility occupancy grid.
+
+`legibility_check` fills its 4px grid one row span at a time. It is checked
+against a reference copy of the per-cell loop it replaced, kept below, on
+generated marks over the viewports of the default device profiles.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chronofuse import DeviceClass, Mark, Rect, RenderedChart, default_profile, legibility_check
+from chronofuse.render import CELL_PX
+
+# --- reference implementation ---
+
+
+def reference_blank_ratio(marks, w, h):
+    nx = max(1, math.ceil(w / CELL_PX))
+    ny = max(1, math.ceil(h / CELL_PX))
+    occupied = bytearray(nx * ny)
+    for mark in marks:
+        b = mark.bbox
+        x0 = max(b.x, 0.0)
+        y0 = max(b.y, 0.0)
+        x1 = min(b.x1, w)
+        y1 = min(b.y1, h)
+        if x1 <= x0 or y1 <= y0:
+            continue
+        ix0 = int(math.floor(x0 / CELL_PX))
+        ix1 = min(nx, int(math.ceil(x1 / CELL_PX)))
+        iy0 = int(math.floor(y0 / CELL_PX))
+        iy1 = min(ny, int(math.ceil(y1 / CELL_PX)))
+        for iy in range(iy0, iy1):
+            base = iy * nx
+            for ix in range(ix0, ix1):
+                occupied[base + ix] = 1
+    return 1.0 - sum(occupied) / (nx * ny)
+
+
+# --- strategies ---
+
+
+def _position(extent):
+    """A coordinate on a cell boundary, just off one, or anywhere, inside or out."""
+    cells = int(extent // CELL_PX)
+    boundary = st.integers(-8, cells + 8).map(lambda k: k * CELL_PX)
+    near = st.tuples(boundary, st.sampled_from([-1e-9, 1e-9, -0.5, 0.5, 1.999, 2.0])).map(sum)
+    anywhere = st.floats(-2.0 * extent, 2.0 * extent, allow_nan=False)
+    return st.one_of(boundary, near, anywhere)
+
+
+def _length(extent):
+    """Zero, a whole number of cells, fractional, or longer than the view."""
+    return st.one_of(
+        st.just(0.0),
+        st.integers(1, 16).map(lambda k: k * CELL_PX),
+        st.floats(0.0, 64.0, allow_nan=False),
+        st.floats(0.0, 1.5 * extent, allow_nan=False),
+    )
+
+
+@st.composite
+def viewport_and_marks(draw):
+    profile = default_profile(draw(st.sampled_from(list(DeviceClass))))
+    w, h = profile.width_px, profile.height_px
+    if draw(st.booleans()):  # phones render in the lateral orientation
+        w, h = h, w
+    boxes = draw(st.lists(
+        st.builds(Rect, _position(w), _position(h), _length(w), _length(h)), max_size=12))
+    if draw(st.booleans()):
+        whole = draw(st.sampled_from([Rect(0.0, 0.0, w, h), Rect(-5.0, -5.0, w + 10.0, h + 10.0)]))
+        boxes.insert(draw(st.integers(0, len(boxes))), whole)
+    return profile, w, h, [Mark("box", box) for box in boxes]
+
+
+# --- properties ---
+
+
+@settings(max_examples=150, deadline=None)
+@given(viewport_and_marks())
+def test_blank_ratio_matches_per_cell_reference(case):
+    profile, w, h, marks = case
+    chart = RenderedChart(svg="<svg/>", marks=tuple(marks), viewbox=(w, h))
+    assert legibility_check(chart, profile).blank_ratio == reference_blank_ratio(marks, w, h)

@@ -2,6 +2,7 @@ import datetime as dt
 import os
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -452,6 +453,23 @@ def test_store_rejects_non_canonical_order(tmp_path, rows, message):
         load_table(write_store(tmp_path, rows))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["2021-01-01|a=1.0@r1;2.0@r2|b=3.0@r1", "2021-01-02"], "row 2021-01-02 has no cells"),
+        (["2021-01-01|a=1.0@r1|b=3.0@r1"], r"col 'a' names sources \['r1', 'r2'\]"),
+        (["2021-01-01|a=1.0@r1;2.0@r2|b=3.0@r1;4.0@r3"], "col 'b' names sources"),
+        (["2021-01-01|a=1.0@r1;2.0@r2"], r"col 'b' names sources \['r1'\], its cells come from \[\]"),
+        (["2021-01-01|a=0.0@r1;-0.0@r1;2.0@r2|b=3.0@r1"], "not sorted by"),
+    ],
+    ids=["row-without-cells", "column-source-without-cells", "cell-source-without-column",
+         "column-without-cells", "entries-unsorted-sign"],
+)
+def test_store_rejects_what_the_savers_cannot_write(tmp_path, rows, message):
+    with pytest.raises(MalformedStore, match=message):
+        load_table(write_store(tmp_path, rows))
+
+
 def test_store_accepts_equal_cell_entries(tmp_path):
     table = load_table(write_store(tmp_path, ["2021-01-01|a=1.0@r1;1.0@r1;1.0@r2|b=3.0@r1"]))
     assert next(iter(table.rows.values()))["a"].values == (1.0, 1.0, 1.0)
@@ -481,7 +499,7 @@ def observation_at(draw, offset, metrics=("a", "b", "c")):
     minute = draw(st.none() | st.times().map(lambda t: t.replace(second=0, microsecond=0)))
     return Observation(
         metric=metric,
-        value=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        value=draw(st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False)),
         unit=draw(st.sampled_from(["", UNITS.get(metric, "")])),
         time=TimePoint.day(date) if minute is None else TimePoint.minute(date, minute),
         source=draw(st.sampled_from(["r1", "r2", "r3"])),
@@ -508,6 +526,8 @@ def base_and_additions(draw):
     ):
         additions.append(draw(observation_at(offset)))
     additions.append(draw(observation_at(draw(any_offset), ("new",))))
+    mirrored = draw(st.sampled_from(base))  # negated: a zero reading gives a signed-zero pair
+    additions.append(replace(mirrored, value=-mirrored.value))
     return granularity, base, additions
 
 
@@ -546,6 +566,26 @@ def test_fuse_is_independent_of_observation_order(case, rng):
     expected = fuse(observations, granularity)
     rng.shuffle(observations)
     assert fuse(observations, granularity) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(base_and_additions(), st.randoms(use_true_random=False))
+def test_fusion_saves_the_same_bytes_in_any_order(case, rng):
+    # tables compare -0.0 equal to 0.0, so order independence is checked on the saved bytes
+    granularity, base, additions = case
+    observations = base + additions
+    expected = store_bytes(fuse(observations, granularity)[0])
+    rng.shuffle(observations)
+    assert store_bytes(fuse(observations, granularity)[0]) == expected
+    daily, _ = fuse(observations, Granularity.DAY)
+    assert store_bytes(rebucket(daily, granularity)) == expected
+
+
+def test_signed_zeros_from_one_source_save_negative_first():
+    readings = [obs("a", -0.0, "2021-01-05"), obs("a", 0.0, "2021-01-04")]
+    for ordered in (readings, readings[::-1]):
+        table, _ = fuse(ordered, Granularity.WEEK)
+        assert b"row 2021-01-04|a=-0.0@r1;0.0@r1\n" in store_bytes(table)
 
 
 # --- atomic writes ---
