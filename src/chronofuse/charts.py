@@ -17,13 +17,12 @@ from .errors import (
     DegenerateRange,
     DegenerateValueRange,
     EmptySelection,
-    MalformedStore,
     MissingRange,
     TooFewSlices,
     UnknownMetric,
 )
 from .ingest import RefRange, TimePoint
-from .temporal import Aggregator, TemporalTable, aggregate_cell, slice_range
+from .temporal import Aggregator, TemporalTable, _Cursor, aggregate_cell, slice_range
 
 __all__ = [
     "ChartKind",
@@ -219,16 +218,7 @@ def build_line_chart(
     x positions are row indices of the sliced table; cells with several
     entries collapse through the aggregator before normalization.
     """
-    selection = _select(table, metrics, time_range)
-    series, palette = _build_series(selection, aggregator, normalization)
-    kind = ChartKind.LINE if len(series) == 1 else ChartKind.COMPOUND_LINE
-    return ChartSpec(
-        kind=kind,
-        series=series,
-        time_range=selection.range_iso,
-        slot_labels=selection.labels,
-        palette=palette,
-    )
+    return _build_chart(ChartKind.LINE, table, metrics, time_range, aggregator, normalization)
 
 
 def build_radial_chart(
@@ -239,20 +229,7 @@ def build_radial_chart(
     normalization: Normalization = Normalization.MIN_MAX,
 ) -> ChartSpec:
     """Build a closed radial line chart: one polygon vertex per slice."""
-    selection = _select(table, metrics, time_range)
-    if len(selection.slices) < 3:
-        raise TooFewSlices(
-            f"radial line charts need at least 3 slices, selection has {len(selection.slices)}"
-        )
-    series, palette = _build_series(selection, aggregator, normalization)
-    return ChartSpec(
-        kind=ChartKind.RADIAL_LINE,
-        series=series,
-        time_range=selection.range_iso,
-        slot_labels=selection.labels,
-        palette=palette,
-        angular_slots=len(selection.slices),
-    )
+    return _build_chart(ChartKind.RADIAL_LINE, table, metrics, time_range, aggregator, normalization)
 
 
 def build_radial_bar_chart(
@@ -263,59 +240,49 @@ def build_radial_bar_chart(
     normalization: Normalization = Normalization.MIN_MAX,
 ) -> ChartSpec:
     """Build a radial bar chart: one bar per (metric, slice)."""
-    selection = _select(table, metrics, time_range)
-    series, palette = _build_series(selection, aggregator, normalization)
-    return ChartSpec(
-        kind=ChartKind.RADIAL_BAR,
-        series=series,
-        time_range=selection.range_iso,
-        slot_labels=selection.labels,
-        palette=palette,
-        angular_slots=len(selection.slices),
-    )
+    return _build_chart(ChartKind.RADIAL_BAR, table, metrics, time_range, aggregator, normalization)
 
 
-@dataclass
-class _Selection:
-    table: TemporalTable
-    metrics: list[str]
-    slices: list
-    labels: tuple[str, ...]
-    range_iso: tuple[str, str]
-
-
-def _select(table, metrics, time_range) -> _Selection:
+def _build_chart(kind, table, metrics, time_range, aggregator, normalization) -> ChartSpec:
+    """The one path from a table to a ChartSpec; a LINE of several metrics is a COMPOUND_LINE."""
     known = set(table.metrics)
     # series come out in metric-name order (column order), deduplicated
     requested = sorted(set(metrics)) if metrics else sorted(known)
     for metric in requested:
         if metric not in known:
             raise UnknownMetric(f"metric {metric!r} has no column in the table")
-    view = table
     if time_range is not None:
-        view = slice_range(table, time_range[0], time_range[1])
-    slices = list(view.rows)
-    if not slices:
+        table = slice_range(table, time_range[0], time_range[1])
+    if not table.rows:
         raise EmptySelection("no cells fall inside the requested time range")
-    labels = tuple(ts.start_date.isoformat() for ts in slices)
-    return _Selection(view, requested, slices, labels, (labels[0], labels[-1]))
-
-
-def _build_series(selection, aggregator, normalization):
+    if kind is ChartKind.RADIAL_LINE and len(table.rows) < 3:
+        raise TooFewSlices(
+            f"radial line charts need at least 3 slices, selection has {len(table.rows)}"
+        )
     series = []
-    for metric in selection.metrics:
+    for metric in requested:
         raw = []
-        for index, ts in enumerate(selection.slices):
-            cell = selection.table.rows[ts].get(metric)
+        for index, row in enumerate(table.rows.values()):
+            cell = row.get(metric)
             if cell is not None:
                 raw.append((float(index), aggregate_cell(cell, aggregator)))
         if not raw:
             raise EmptySelection(f"metric {metric!r} has no cells in the requested range")
-        column = selection.table.column_for(metric)
+        column = table.column_for(metric)
         ref = column.reference_range if column is not None else None
         series.append(normalize_series(raw, ref, normalization, metric=metric))
-    # Distinct indices per series; renderers cycle them through the 8 colors.
-    return tuple(series), tuple(range(len(series)))
+    if kind is ChartKind.LINE and len(series) != 1:
+        kind = ChartKind.COMPOUND_LINE
+    labels = tuple(ts.start_date.isoformat() for ts in table.rows)
+    return ChartSpec(
+        kind=kind,
+        series=tuple(series),
+        time_range=(labels[0], labels[-1]),
+        slot_labels=labels,
+        # Distinct indices per series; renderers cycle them through the 8 colors.
+        palette=tuple(range(len(series))),
+        angular_slots=len(labels) if kind in (ChartKind.RADIAL_LINE, ChartKind.RADIAL_BAR) else None,
+    )
 
 
 # --- textual serialization (documented field order, diffable goldens) ---
@@ -342,54 +309,34 @@ def spec_to_text(spec: ChartSpec) -> str:
 
 def spec_from_text(text: str) -> ChartSpec:
     """Parse the output of spec_to_text. Raises MalformedStore on bad input."""
-    lines = text.splitlines()
-
-    def take(prefix: str) -> str:
-        if not lines:
-            raise MalformedStore("chart spec text is truncated")
-        line = lines.pop(0)
-        if not line.startswith(prefix + " "):
-            raise MalformedStore(f"expected {prefix!r} record, got {line!r}")
-        return line[len(prefix) + 1:]
-
-    def parse(convert, text: str, what: str):
-        try:
-            return convert(text)
-        except ValueError:
-            raise MalformedStore(f"bad chart spec {what}: {text!r}") from None
-
-    magic = lines.pop(0) if lines else ""
+    cursor = _Cursor(text, "chart spec")
+    magic = cursor.next()
     if magic != f"{CHART_MAGIC} {CHART_VERSION}":
-        raise MalformedStore(f"not a chronofuse chart spec: {magic!r}")
-    kind = parse(ChartKind, take("kind"), "kind")
-    start, _, end = take("time_range").partition("..")
-    slots = parse(int, take("slots"), "slots")
-    labels = tuple(x for x in take("labels").split(",") if x)
-    palette = tuple(parse(int, x, "palette index") for x in take("palette").split(",") if x)
-    count = parse(int, take("series"), "series count")
+        cursor.fail(f"not a chronofuse chart spec: {magic!r}")
+    kind = cursor.parse(ChartKind, cursor.expect_field("kind"), "kind")
+    start, _, end = cursor.expect_field("time_range").partition("..")
+    slots = cursor.expect_count("slots")
+    labels = tuple(x for x in cursor.expect_field("labels").split(",") if x)
+    palette = tuple(
+        cursor.parse(int, x, "palette index") for x in cursor.expect_field("palette").split(",") if x
+    )
     series = []
-    for _ in range(count):
-        body = take("s")
-        fields = body.split("|")
-        if len(fields) != 4:
-            raise MalformedStore(f"series record needs 4 fields, got {len(fields)}: {body!r}")
-        metric, norm_text, outside_text, points_text = fields
+    for metric, norm_text, outside_text, points_text in cursor.records("series", "s", 4):
         points = []
         for point in points_text.split():
             t_text, sep, v_text = point.partition(":")
             if not sep:
-                raise MalformedStore(f"bad chart spec point: {point!r}")
-            points.append((parse(float, t_text, "point"), parse(float, v_text, "point")))
-        normalization = parse(Normalization, norm_text, "normalization")
+                cursor.fail(f"bad point {point!r}")
+            points.append((cursor.parse(float, t_text, "point"), cursor.parse(float, v_text, "point")))
+        normalization = cursor.parse(Normalization, norm_text, "normalization")
         outside = frozenset(
-            parse(int, i, "out-of-range index") for i in outside_text.split(",") if i
+            cursor.parse(int, i, "out-of-range index") for i in outside_text.split(",") if i
         )
         try:
             series.append(Series(metric, tuple(points), normalization, outside))
         except ValueError as exc:
-            raise MalformedStore(f"bad chart spec series: {exc}") from None
-    if not lines or lines.pop(0) != "end":
-        raise MalformedStore("chart spec text is truncated (missing end)")
+            cursor.fail(f"bad series: {exc}")
+    cursor.end()
     try:
         return ChartSpec(
             kind=kind,
@@ -400,4 +347,4 @@ def spec_from_text(text: str) -> ChartSpec:
             angular_slots=slots or None,
         )
     except ValueError as exc:
-        raise MalformedStore(f"bad chart spec: {exc}") from None
+        cursor.fail(f"invalid spec: {exc}")

@@ -22,13 +22,8 @@ from .temporal import Aggregator, Granularity
 
 ENV_CONFIG = "CHRONOFUSE_CONFIG"
 
-_PROFILE_FIELDS = {
-    "width_px": float,
-    "height_px": float,
-    "dpi": float,
-    "min_font_px": float,
-    "max_blank_ratio": float,
-}
+# every numeric field of a profile; the device class is chosen by the key's prefix
+_PROFILE_FIELDS = {f.name for f in dataclasses.fields(DeviceProfile)} - {"device_class"}
 
 
 @dataclass
@@ -75,9 +70,12 @@ def parse_config(text: str, base_dir: Path | None = None) -> Config:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
         _apply_key(config, overrides, key, value, base_dir, lineno)
     for device_class, fields in overrides.items():
-        config.profiles[device_class] = dataclasses.replace(
-            config.profiles[device_class], **fields
-        )
+        try:
+            config.profiles[device_class] = dataclasses.replace(
+                config.profiles[device_class], **fields
+            )
+        except ValueError as exc:
+            raise ConfigError(f"bad {device_class.value} profile: {exc}") from exc
     return config
 
 
@@ -103,7 +101,7 @@ def _apply_key(config, overrides, key, value, base_dir, lineno):
             device_class = DeviceClass(class_text)
             if field_name not in _PROFILE_FIELDS:
                 raise ConfigError(f"config line {lineno}: unknown profile field {field_name!r}")
-            overrides.setdefault(device_class, {})[field_name] = _PROFILE_FIELDS[field_name](value)
+            overrides.setdefault(device_class, {})[field_name] = float(value)
         else:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
     except ValueError as exc:

@@ -32,8 +32,9 @@ _NUMBER_RE = re.compile(r"[+-]?\d+(?:\.\d+)?")
 # Characters stripped from token edges before value/unit interpretation.
 _TOKEN_EDGE = ":;,()[]{}\"'"
 
-# Separators that would break the line-oriented store/archive grammars.
-_RESERVED_NAME_CHARS = set("|;=@\n")
+# Separators that would break the line-oriented store/archive grammars:
+# the field separators and every line boundary that str.splitlines() knows.
+_RESERVED_NAME_CHARS = set("|;=@\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 class ReportFormat(str, Enum):
@@ -199,7 +200,9 @@ class ReportDocument:
 
 def _validate_name(name: str, what: str) -> None:
     if not name or any(ch in _RESERVED_NAME_CHARS for ch in name):
-        raise InvalidLexicon(f"{what} {name!r} is empty or contains a reserved character (| ; = @)")
+        raise InvalidLexicon(
+            f"{what} {name!r} is empty or contains a reserved character (| ; = @ or a line break)"
+        )
 
 
 def report_id_for(path: str | Path) -> str:
@@ -499,46 +502,42 @@ def _extract_plain(doc, lexicon, date_order):
             )
         backfilled = [_to_observation(m, header, doc.report_id) for _, m in pending]
         observations = backfilled + observations
-    elif observations and header is None:  # pragma: no cover - unreachable by construction
-        raise NoTimestampInDocument(doc.report_id)
     return observations, warnings
 
 
 def _extract_csv(doc, lexicon, date_order):
     rows = list(csv.reader(doc.lines))
-    warnings: list[str] = []
-    observations: list[Observation] = []
-    if not rows:
-        return observations, warnings
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header != ["date", "metric", "value", "unit"]:
-        warnings.append(f"{doc.report_id}:1: expected CSV header 'date,metric,value,unit'")
-        return observations, warnings
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 4:
-            warnings.append(f"{doc.report_id}:{lineno}: expected 4 fields, got {len(row)}")
-            continue
-        obs, warning = _explicit_row(row, lexicon, date_order, doc.report_id)
-        if warning:
-            warnings.append(f"{doc.report_id}:{lineno}: {warning}")
-        if obs is not None:
-            observations.append(obs)
-    return observations, warnings
+    if rows and [cell.strip().lower() for cell in rows[0]] != ["date", "metric", "value", "unit"]:
+        return [], [f"{doc.report_id}:1: expected CSV header 'date,metric,value,unit'"]
+    numbered = [
+        (lineno, row)
+        for lineno, row in enumerate(rows[1:], start=2)
+        if any(cell.strip() for cell in row)
+    ]
+    return _extract_rows(doc, numbered, lexicon, date_order, "expected 4 fields, got {}")
 
 
 def _extract_records(doc, lexicon, date_order):
-    """Pipe-delimited record format: date|metric|value|unit per line."""
+    """Pipe-delimited record format: date|metric|value|unit per line, `#` comments skipped."""
+    numbered = [
+        (lineno, line.split("|"))
+        for lineno, line in enumerate(doc.lines, start=1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    return _extract_rows(doc, numbered, lexicon, date_order, "expected 4 pipe-delimited fields")
+
+
+def _extract_rows(doc, rows, lexicon, date_order, wrong_count: str):
+    """Observations from (line number, fields) rows of an explicit-row format.
+
+    `wrong_count` is the warning for a row without 4 fields, formatted with
+    its field count.
+    """
     warnings: list[str] = []
     observations: list[Observation] = []
-    for lineno, line in enumerate(doc.lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = [f.strip() for f in stripped.split("|")]
+    for lineno, fields in rows:
         if len(fields) != 4:
-            warnings.append(f"{doc.report_id}:{lineno}: expected 4 pipe-delimited fields")
+            warnings.append(f"{doc.report_id}:{lineno}: {wrong_count.format(len(fields))}")
             continue
         obs, warning = _explicit_row(fields, lexicon, date_order, doc.report_id)
         if warning:
@@ -605,7 +604,7 @@ def load_lexicon(path: str | Path) -> MetricLexicon:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidLexicon(f"cannot read lexicon file {path}: {exc}") from exc
     entries: list[LexiconEntry] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

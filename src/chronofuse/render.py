@@ -73,8 +73,9 @@ class DeviceProfile:
     max_blank_ratio: float = 0.85
 
     def __post_init__(self):
-        if min(self.width_px, self.height_px, self.dpi, self.min_font_px) <= 0:
-            raise ValueError("profile dimensions, dpi, and min font must be positive")
+        sizes = (self.width_px, self.height_px, self.dpi, self.min_font_px)
+        if not all(math.isfinite(n) and n > 0 for n in sizes):
+            raise ValueError("profile dimensions, dpi, and min font must be positive and finite")
         if not 0 < self.max_blank_ratio <= 1:
             raise ValueError("max_blank_ratio must be in (0, 1]")
 

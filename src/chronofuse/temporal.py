@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyCell,
@@ -26,7 +26,7 @@ from .errors import (
     UnitConflict,
     VersionMismatch,
 )
-from .ingest import Observation, RefRange, TimePoint
+from .ingest import _RESERVED_NAME_CHARS, Observation, RefRange, TimePoint
 
 STORE_MAGIC = "chronofuse-table"
 STORE_VERSION = 1
@@ -382,8 +382,10 @@ def aggregate_cell(cell: Cell, aggregator: Aggregator = Aggregator.MEAN) -> floa
 
 def _writable_token(text: str, what: str) -> str:
     # the store grammar cannot escape its separators, so refuse them up front
-    if any(ch in "|;=@\n" for ch in text):
-        raise ValueError(f"{what} {text!r} contains a reserved store character (| ; = @)")
+    if any(ch in _RESERVED_NAME_CHARS for ch in text):
+        raise ValueError(
+            f"{what} {text!r} contains a reserved store character (| ; = @ or a line break)"
+        )
     return text
 
 
@@ -397,10 +399,13 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
         _writable_token(column.unit, "unit")
         for source in column.source_reports:
             _writable_token(source, "report id")
+            # a col record lists report ids comma-separated, and a cell entry needs one
+            if not source or "," in source:
+                raise ValueError(f"report id {source!r} is empty or contains ','")
         rng, rng_unit = "", ""
         if column.reference_range is not None:
             rng = f"{column.reference_range.low!r}..{column.reference_range.high!r}"
-            rng_unit = column.reference_range.unit
+            rng_unit = _writable_token(column.reference_range.unit, "range unit")
         sources = ",".join(sorted(column.source_reports))
         lines.append(f"col {column.metric}|{column.unit}|{rng}|{rng_unit}|{sources}")
     lines.append(f"rows {len(table.rows)}")
@@ -421,32 +426,14 @@ def load_table(path: str | Path) -> TemporalTable:
     MalformedStore for anything else that deviates from the grammar,
     including truncation (a missing `end` sentinel).
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise MalformedStore(f"cannot read store {path}: {exc}") from exc
-    cursor = _Cursor(lines, path.name)
-
-    magic = cursor.next()
-    parts = magic.split()
-    if len(parts) != 2 or parts[0] != STORE_MAGIC:
-        raise MalformedStore(f"{path.name}: not a chronofuse table store")
-    if parts[1] != str(STORE_VERSION):
-        raise VersionMismatch(f"{path.name}: unsupported store version {parts[1]!r}")
-
-    try:
-        granularity = Granularity(cursor.expect_field("granularity"))
-    except ValueError:
-        raise MalformedStore(f"{path.name}: unknown granularity") from None
-    n_columns = cursor.expect_count("columns")
-    columns = tuple(_parse_column(cursor.expect_field("col"), cursor) for _ in range(n_columns))
-    n_rows = cursor.expect_count("rows")
+    cursor = _Cursor.open(path, STORE_MAGIC, STORE_VERSION, "table store")
+    granularity = cursor.parse(Granularity, cursor.expect_field("granularity"), "granularity")
+    columns = tuple(_parse_column(fields, cursor) for fields in cursor.records("columns", "col", 5))
     sources: dict[str, set[str]] = {column.metric: set() for column in columns}
     rows: dict[TimeSlice, dict[str, Cell]] = {}
     previous: dt.date | None = None
-    for _ in range(n_rows):
-        ts, row = _parse_row(cursor.expect_field("row"), granularity, sources, cursor)
+    for fields in cursor.records("rows", "row"):
+        ts, row = _parse_row(fields, granularity, sources, cursor)
         # add_report re-sorts only the rows it touches, so loaded rows must be canonical
         if previous is not None and ts.start_date <= previous:
             if ts.start_date == previous:
@@ -458,16 +445,35 @@ def load_table(path: str | Path) -> TemporalTable:
         if column.source_reports != sources[column.metric]:
             cursor.fail(f"col {column.metric!r} names sources {sorted(column.source_reports)}, "
                         f"its cells come from {sorted(sources[column.metric])}")
-    if cursor.next() != "end":
-        raise MalformedStore(f"{path.name}: missing end sentinel (truncated file?)")
+    cursor.end()
     return TemporalTable(granularity=granularity, columns=columns, rows=rows)
 
 
 class _Cursor:
-    def __init__(self, lines: list[str], name: str):
-        self.lines = lines
+    """Reads line records (`<key> <body>`) from a store, an archive or a chart spec.
+
+    Every grammar violation raises MalformedStore naming the text and line.
+    """
+
+    def __init__(self, text: str, name: str):
+        self.lines = text.splitlines()
         self.name = name
         self.pos = 0
+
+    @classmethod
+    def open(cls, path: str | Path, magic: str, version: int, what: str) -> _Cursor:
+        """Read a file and check its `<magic> <version>` line; `what` names the format."""
+        path = Path(path)
+        try:
+            cursor = cls(path.read_text(encoding="utf-8"), path.name)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MalformedStore(f"cannot read {what} {path}: {exc}") from exc
+        parts = cursor.next().split()
+        if len(parts) != 2 or parts[0] != magic:
+            raise MalformedStore(f"{path.name}: not a chronofuse {what}")
+        if parts[1] != str(version):
+            raise VersionMismatch(f"{path.name}: unsupported {what} version {parts[1]!r}")
+        return cursor
 
     def next(self) -> str:
         if self.pos >= len(self.lines):
@@ -479,6 +485,13 @@ class _Cursor:
     def fail(self, message: str):
         raise MalformedStore(f"{self.name}:{self.pos}: {message}")
 
+    def parse(self, convert, text: str, what: str):
+        """convert(text), failing with a message that names `what` if it raises ValueError."""
+        try:
+            return convert(text)
+        except ValueError:
+            self.fail(f"bad {what} {text!r}")
+
     def expect_field(self, key: str) -> str:
         line = self.next()
         prefix = key + " "
@@ -488,28 +501,34 @@ class _Cursor:
 
     def expect_count(self, key: str) -> int:
         value = self.expect_field(key)
-        if not value.isdigit():
+        # ASCII only: str.isdigit() also holds for digits such as '²' that int() rejects
+        if not (value.isascii() and value.isdigit()):
             self.fail(f"expected integer {key} count, got {value!r}")
         return int(value)
 
+    def records(self, count_key: str, key: str, n_fields: int | None = None) -> Iterator[list[str]]:
+        """The `|`-split bodies of the `key` records counted by the `count_key` line."""
+        for _ in range(self.expect_count(count_key)):
+            fields = self.expect_field(key).split("|")
+            if n_fields is not None and len(fields) != n_fields:
+                self.fail(f"{key} record needs {n_fields} fields, got {len(fields)}")
+            yield fields
 
-def _parse_column(text: str, cursor: _Cursor) -> ColumnDescriptor:
-    parts = text.split("|")
-    if len(parts) != 5:
-        cursor.fail(f"column record needs 5 fields, got {len(parts)}")
+    def end(self) -> None:
+        if self.next() != "end":
+            raise MalformedStore(f"{self.name}: missing end sentinel (truncated file?)")
+
+
+def _parse_column(parts: list[str], cursor: _Cursor) -> ColumnDescriptor:
     metric, unit, rng_text, rng_unit, sources_text = parts
     reference_range = _parse_range(rng_text, rng_unit, cursor) if rng_text else None
     sources = frozenset(s for s in sources_text.split(",") if s)
     return ColumnDescriptor(metric, unit, reference_range, sources)
 
 
-def _parse_row(text: str, granularity: Granularity, sources: dict[str, set[str]], cursor: _Cursor):
+def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, set[str]], cursor: _Cursor):
     """Parse one row; adds each cell's sources to `sources`, keyed by the known metrics."""
-    parts = text.split("|")
-    try:
-        start = dt.date.fromisoformat(parts[0])
-    except ValueError:
-        cursor.fail(f"bad slice date {parts[0]!r}")
+    start = cursor.parse(dt.date.fromisoformat, parts[0], "slice date")
     try:
         ts = TimeSlice(TimePoint.day(start), granularity)
     except ValueError as exc:
@@ -593,6 +612,8 @@ def save_observations(
     lines = [f"{ARCHIVE_MAGIC} {ARCHIVE_VERSION}", f"ranges {len(ranges)}"]
     for metric in sorted(ranges):
         rng = ranges[metric]
+        for token, what in ((metric, "metric"), (rng.unit, "range unit")):
+            _writable_token(token, what)
         lines.append(f"range {metric}|{rng.low!r}..{rng.high!r}|{rng.unit}")
     lines.append(f"observations {len(observations)}")
     for obs in observations:
@@ -608,36 +629,18 @@ def save_observations(
 
 def load_observations(path: str | Path) -> tuple[list[Observation], dict[str, RefRange]]:
     """Read an observation archive back; inverse of save_observations."""
-    path = Path(path)
-    try:
-        file_lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise MalformedStore(f"cannot read archive {path}: {exc}") from exc
-    cursor = _Cursor(file_lines, path.name)
-    parts = cursor.next().split()
-    if len(parts) != 2 or parts[0] != ARCHIVE_MAGIC:
-        raise MalformedStore(f"{path.name}: not a chronofuse observation archive")
-    if parts[1] != str(ARCHIVE_VERSION):
-        raise VersionMismatch(f"{path.name}: unsupported archive version {parts[1]!r}")
+    cursor = _Cursor.open(path, ARCHIVE_MAGIC, ARCHIVE_VERSION, "observation archive")
     ranges: dict[str, RefRange] = {}
-    for _ in range(cursor.expect_count("ranges")):
-        fields = cursor.expect_field("range").split("|")
-        if len(fields) != 3:
-            cursor.fail("range record needs 3 fields")
-        metric, rng_text, rng_unit = fields
+    for metric, rng_text, rng_unit in cursor.records("ranges", "range", 3):
         ranges[metric] = _parse_range(rng_text, rng_unit, cursor)
     observations: list[Observation] = []
-    for _ in range(cursor.expect_count("observations")):
-        fields = cursor.expect_field("obs").split("|")
-        if len(fields) != 6:
-            cursor.fail("obs record needs 6 fields")
+    for fields in cursor.records("observations", "obs", 6):
         source, metric, value_text, unit, time_text, flags_text = fields
         value = _finite_float(value_text, "observation value", cursor)
         time = _parse_archive_time(time_text, cursor)
         flags = frozenset(f for f in flags_text.split(",") if f)
         observations.append(Observation(metric, value, unit, time, source, flags))
-    if cursor.next() != "end":
-        raise MalformedStore(f"{path.name}: missing end sentinel (truncated file?)")
+    cursor.end()
     return observations, ranges
 
 

@@ -1,7 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from chronofuse import Granularity, fuse, load_observations, load_table, save_table
+import chronofuse
+from chronofuse import DeviceClass, Granularity, fuse, load_observations, load_table, save_table
 from chronofuse.cli import main
+from chronofuse.config import parse_config
+from chronofuse.errors import ConfigError
 from conftest import obs
 
 
@@ -288,3 +295,54 @@ def test_non_finite_inputs_exit_2_with_named_error(tmp_path, capsys, name, text)
     err = capsys.readouterr().err
     assert "error: MalformedStore:" in err
     assert "internal error" not in err
+
+
+def test_render_of_a_non_ascii_count_exits_2_with_named_error(tmp_path, capsys):
+    store = tmp_path / "table.txt"
+    store.write_text("chronofuse-table 1\ngranularity day\ncolumns ²\nend\n", encoding="utf-8")
+    assert main(["render", str(store), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error: MalformedStore:" in err
+    assert "internal error" not in err
+
+
+# --- device profiles ---
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_config_rejects_non_finite_profile_fields(value):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(f"monitor.width_px = {value}\n")
+
+
+def test_config_accepts_every_profile_field():
+    config = parse_config(
+        "phone.width_px = 400\nphone.height_px = 800\nphone.dpi = 300\n"
+        "phone.min_font_px = 9\nphone.max_blank_ratio = 0.9\n"
+    )
+    profile = config.profile(DeviceClass.PHONE)
+    assert (profile.width_px, profile.height_px, profile.dpi) == (400.0, 800.0, 300.0)
+    assert (profile.min_font_px, profile.max_blank_ratio) == (9.0, 0.9)
+
+
+# --- runtime dependencies ---
+
+
+def test_runtime_needs_only_the_standard_library(fixtures_dir):
+    # -I -S: no site-packages, no user site, no PYTHON* variables
+    src = Path(chronofuse.__file__).resolve().parent.parent
+    golden = fixtures_dir / "golden" / "table_weekly.txt"
+    code = (
+        "import importlib, pkgutil, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import chronofuse\n"
+        "for module in pkgutil.iter_modules(chronofuse.__path__):\n"
+        "    importlib.import_module('chronofuse.' + module.name)\n"
+        "from chronofuse.cli import main\n"
+        f"sys.exit(main(['check', {str(golden)!r}]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert "[monitor]" in result.stdout and "[phone]" in result.stdout

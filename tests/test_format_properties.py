@@ -1,0 +1,211 @@
+"""Properties of the text formats on generated input.
+
+Every table and archive that the savers write loads back equal and
+re-saves to the same bytes, and the four loaders raise nothing but
+ChronofuseError on arbitrary text or on a valid file with one line
+mutated.
+"""
+
+import datetime as dt
+import string
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chronofuse import (
+    Granularity,
+    Observation,
+    TimePoint,
+    build_radial_bar_chart,
+    extract_observations,
+    fuse,
+    load_lexicon,
+    load_observations,
+    load_report,
+    load_table,
+    save_observations,
+    save_table,
+    spec_from_text,
+    spec_to_text,
+)
+from chronofuse.errors import ChronofuseError
+from chronofuse.ingest import FLAG_OUT_OF_RANGE, FLAG_UNIT_MISMATCH, RefRange
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# Names the store grammar can carry; saving them must succeed.
+PLAIN_NAME = st.text(string.ascii_letters + string.digits + "._-/% ", min_size=1, max_size=8)
+# Any text: the savers either refuse it with ValueError or write a file that loads back.
+ANY_NAME = st.text(max_size=6)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+DATES = st.dates(dt.date(1, 1, 8), dt.date(9999, 12, 1))
+
+
+@st.composite
+def time_points(draw):
+    date = draw(DATES)
+    if draw(st.booleans()):
+        return TimePoint.day(date)
+    return TimePoint.minute(date, dt.time(draw(st.integers(0, 23)), draw(st.integers(0, 59))))
+
+
+@st.composite
+def ref_ranges(draw, units):
+    low, high = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+    return RefRange(low, high, draw(units))
+
+
+@st.composite
+def observation_sets(draw, names):
+    """Observations over a few metrics and sources, and ranges for some of the metrics."""
+    metrics = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    units = {metric: draw(st.just("") | names) for metric in metrics}
+    sources = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    observations = []
+    for _ in range(draw(st.integers(1, 12))):
+        metric = draw(st.sampled_from(metrics))
+        flags = draw(st.frozensets(st.sampled_from([FLAG_OUT_OF_RANGE, FLAG_UNIT_MISMATCH])))
+        observations.append(Observation(
+            metric=metric,
+            value=draw(st.sampled_from([0.0, -0.0]) | FINITE),
+            unit=draw(st.sampled_from(["", units[metric]])),
+            time=draw(time_points()),
+            source=draw(st.sampled_from(sources)),
+            flags=flags,
+        ))
+    ranged = draw(st.lists(st.sampled_from(metrics), unique=True))
+    ranges = {metric: draw(ref_ranges(st.just("") | names)) for metric in ranged}
+    return observations, ranges
+
+
+def saved(save, value, **kwargs) -> bytes | None:
+    """The bytes `save` writes for `value`, or None when it refuses with ValueError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.txt"
+        try:
+            save(value, path, **kwargs)
+        except ValueError:
+            return None
+        return path.read_bytes()
+
+
+def reloaded(load, data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.txt"
+        path.write_bytes(data)
+        return load(path)
+
+
+# (plain, (observations, ranges)): plain is True when every name is PLAIN_NAME text
+NAME_SETS = st.booleans().flatmap(
+    lambda plain: st.tuples(st.just(plain), observation_sets(PLAIN_NAME if plain else ANY_NAME))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NAME_SETS, st.sampled_from(list(Granularity)))
+def test_store_round_trip_is_exact(case, granularity):
+    plain, (observations, ranges) = case
+    table, _ = fuse(observations, granularity, ranges=ranges)
+    data = saved(save_table, table)
+    if data is None:
+        assert not plain, "the store refused plain names"
+        return
+    loaded = reloaded(load_table, data)
+    assert loaded == table
+    assert saved(save_table, loaded) == data
+
+
+@settings(max_examples=200, deadline=None)
+@given(NAME_SETS)
+def test_archive_round_trip_is_exact(case):
+    plain, (observations, ranges) = case
+    data = saved(save_observations, observations, ranges=ranges)
+    if data is None:
+        assert not plain, "the archive refused plain names"
+        return
+    loaded, loaded_ranges = reloaded(load_observations, data)
+    assert (loaded, loaded_ranges) == (observations, ranges)
+    assert saved(save_observations, loaded, ranges=loaded_ranges) == data
+
+
+# --- loaders on bad input ---
+
+
+def _valid_files() -> dict[str, str]:
+    lexicon = load_lexicon(FIXTURES / "lexicon.txt")
+    observations = []
+    for name in ("report_a.txt", "report_b.csv"):
+        observations += extract_observations(load_report(FIXTURES / "reports" / name), lexicon)[0]
+    table = load_table(FIXTURES / "golden" / "table_weekly.txt")
+    return {
+        "store": (FIXTURES / "golden" / "table_weekly.txt").read_text(encoding="utf-8"),
+        "archive": saved(save_observations, observations, ranges=lexicon.ranges()).decode("utf-8"),
+        "spec": spec_to_text(build_radial_bar_chart(table)),
+        "lexicon": (FIXTURES / "lexicon.txt").read_text(encoding="utf-8"),
+    }
+
+
+VALID = _valid_files()
+LOADERS = {
+    "store": lambda data: reloaded(load_table, data),
+    "archive": lambda data: reloaded(load_observations, data),
+    "spec": lambda data: spec_from_text(data.decode("utf-8")),
+    "lexicon": lambda data: reloaded(load_lexicon, data),
+}
+
+
+def loads_or_names_its_error(kind: str, data: bytes) -> None:
+    try:
+        LOADERS[kind](data)
+    except ChronofuseError:
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+def test_valid_files_load(kind):
+    LOADERS[kind](VALID[kind].encode("utf-8"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(LOADERS)), st.text())
+def test_loaders_raise_only_chronofuse_errors_on_arbitrary_text(kind, text):
+    loads_or_names_its_error(kind, text.encode("utf-8"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["store", "archive", "lexicon"]), st.binary())
+def test_file_loaders_raise_only_chronofuse_errors_on_arbitrary_bytes(kind, data):
+    loads_or_names_its_error(kind, data)
+
+
+@st.composite
+def mutated_line(draw, line: str) -> list[str]:
+    """Zero, one or two lines in place of `line`."""
+    how = draw(st.sampled_from(["text", "delete", "duplicate", "char", "cut", "count"]))
+    if how == "text":
+        return [draw(st.text())]
+    if how == "delete":
+        return []
+    if how == "duplicate":
+        return [line, line]
+    if how == "count":  # a keyword line keeps its keyword and gets another argument
+        argument = st.sampled_from(["²", "٣", "-1", "+1", " 1", "1.5"]) | st.text(max_size=3)
+        return [f"{line.partition(' ')[0]} {draw(argument)}"]
+    at = draw(st.integers(0, len(line)))
+    if how == "cut":
+        return [line[:at]]
+    return [line[:at] + draw(st.characters()) + line[at + 1:]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(VALID)), st.data())
+def test_loaders_raise_only_chronofuse_errors_on_one_mutated_line(kind, data):
+    lines = VALID[kind].splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at:at + 1] = data.draw(mutated_line(lines[at]))
+    loads_or_names_its_error(kind, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -613,3 +613,59 @@ def test_saved_store_has_the_default_file_mode(tmp_path, weekly_table):
     finally:
         os.umask(mask)
     assert (tmp_path / "t.txt").stat().st_mode & 0o777 == 0o644
+
+
+# --- counts and tokens outside the grammar ---
+
+
+def test_store_rejects_a_non_ascii_count(tmp_path):
+    # '²'.isdigit() holds, but int('²') raises ValueError
+    path = tmp_path / "t.txt"
+    path.write_text("chronofuse-table 1\ngranularity day\ncolumns ²\nend\n", encoding="utf-8")
+    with pytest.raises(MalformedStore, match="expected integer columns count"):
+        load_table(path)
+
+
+def test_archive_rejects_a_non_ascii_count(tmp_path):
+    from chronofuse import load_observations
+
+    path = tmp_path / "o.txt"
+    path.write_text("chronofuse-observations 1\nranges ²\nend\n", encoding="utf-8")
+    with pytest.raises(MalformedStore, match="expected integer ranges count"):
+        load_observations(path)
+
+
+@pytest.mark.parametrize(
+    "observation, ranges",
+    [
+        (obs("a\rb", 1.0, "2021-01-01"), {}),
+        (obs("a", 1.0, "2021-01-01", unit="mg\u2028dL"), {}),
+        (obs("a", 1.0, "2021-01-01", source=""), {}),
+        (obs("a", 1.0, "2021-01-01", source="r1,r2"), {}),
+        (obs("a", 1.0, "2021-01-01"), {"a": RefRange(0.0, 1.0, "mg|dL")}),
+    ],
+    ids=["metric-line-break", "unit-line-break", "empty-report-id", "comma-report-id",
+         "range-unit-separator"],
+)
+def test_save_table_refuses_what_load_table_cannot_read(tmp_path, observation, ranges):
+    table, _ = fuse([observation], ranges=ranges)
+    with pytest.raises(ValueError):
+        save_table(table, tmp_path / "t.txt")
+    assert not (tmp_path / "t.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "observation, ranges",
+    [
+        (obs("a\x85b", 1.0, "2021-01-01"), {}),
+        (obs("a", 1.0, "2021-01-01"), {"a|b": RefRange(0.0, 1.0)}),
+        (obs("a", 1.0, "2021-01-01"), {"a": RefRange(0.0, 1.0, "mg\rdL")}),
+    ],
+    ids=["metric-line-break", "range-metric-separator", "range-unit-line-break"],
+)
+def test_save_observations_refuses_what_load_observations_cannot_read(tmp_path, observation, ranges):
+    from chronofuse import save_observations
+
+    with pytest.raises(ValueError):
+        save_observations([observation], tmp_path / "o.txt", ranges=ranges)
+    assert not (tmp_path / "o.txt").exists()
