@@ -54,6 +54,8 @@ def load_config(path: str | Path | None = None) -> Config:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     return parse_config(text, base_dir=path.parent)
 
 

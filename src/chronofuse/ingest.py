@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -413,7 +414,10 @@ def _scan_line(line: str, lexicon: MetricLexicon) -> tuple[_LineMatch | None, st
             continue
         if _NUMBER_RE.fullmatch(stripped):
             value = float(stripped)
-            unit, mismatch = _resolve_unit(tokens[idx + 1:], entry)
+            if math.isfinite(value):
+                unit, mismatch = _resolve_unit(tokens[idx + 1:], entry)
+            else:  # too long for a float
+                value, saw_digits = None, True
             break
         if any(ch.isdigit() for ch in stripped):
             saw_digits = True
@@ -460,7 +464,8 @@ def extract_observations(
     anywhere). CSV and record documents carry explicit per-row dates.
 
     Raises NoTimestampInDocument when measurements exist but no timestamp
-    was ever parsed.
+    was ever parsed, and ReportReadError for CSV the csv module cannot read
+    (a field over its length limit).
     """
     if doc.format is ReportFormat.CSV:
         return _extract_csv(doc, lexicon, date_order)
@@ -506,7 +511,10 @@ def _extract_plain(doc, lexicon, date_order):
 
 
 def _extract_csv(doc, lexicon, date_order):
-    rows = list(csv.reader(doc.lines))
+    try:
+        rows = list(csv.reader(doc.lines))
+    except csv.Error as exc:
+        raise ReportReadError(f"report {doc.report_id} is not readable CSV: {exc}") from exc
     if rows and [cell.strip().lower() for cell in rows[0]] != ["date", "metric", "value", "unit"]:
         return [], [f"{doc.report_id}:1: expected CSV header 'date,metric,value,unit'"]
     numbered = [
@@ -557,9 +565,9 @@ def _explicit_row(fields, lexicon, date_order, report_id):
     entry = lexicon.entry_for(raw_metric)
     if entry is None:
         return None, f"unknown metric {raw_metric!r}"
-    if not _NUMBER_RE.fullmatch(raw_value):
+    value = float(raw_value) if _NUMBER_RE.fullmatch(raw_value) else math.nan
+    if not math.isfinite(value):  # not a numeral, or too long for a float
         return None, f"malformed value {raw_value!r} for metric {entry.canonical!r}"
-    value = float(raw_value)
     unit = ""
     mismatch = False
     if raw_unit:
@@ -630,6 +638,8 @@ def _parse_range(text: str, units: tuple[str, ...], where: str) -> RefRange:
     if not sep or not _NUMBER_RE.fullmatch(low_text) or not _NUMBER_RE.fullmatch(high_text):
         raise InvalidLexicon(f"{where}: reference range must be 'low..high', got {text!r}")
     low, high = float(low_text), float(high_text)
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise InvalidLexicon(f"{where}: reference range bounds must fit a float, got {text!r}")
     if not low < high:
         raise InvalidLexicon(f"{where}: reference range requires low < high, got {text!r}")
     return RefRange(low, high, units[0] if units else "")

@@ -189,38 +189,27 @@ def select_layout(spec: ChartSpec, profile: DeviceProfile) -> LayoutPlan:
     identical panels.
     """
     n = len(spec.series)
-    if profile.device_class is DeviceClass.PHONE:
-        w = max(profile.width_px, profile.height_px)
-        h = min(profile.width_px, profile.height_px)
-        content = _content_rect(w, h)
-        return LayoutPlan(Orientation.LATERAL, (w, h), (content,), OUTER_MARGIN)
     w, h = profile.width_px, profile.height_px
-    content = _content_rect(w, h)
-    if profile.device_class is DeviceClass.TABLET:
-        panel_h = (content.h - PANEL_GAP * (n - 1)) / n
-        panels = tuple(
-            Rect(content.x, content.y + i * (panel_h + PANEL_GAP), content.w, panel_h)
-            for i in range(n)
-        )
-        return LayoutPlan(Orientation.VERTICAL, (w, h), panels, OUTER_MARGIN)
-    cols = math.ceil(math.sqrt(n))
-    rows = math.ceil(n / cols)
-    panel_w = (content.w - PANEL_GAP * (cols - 1)) / cols
-    panel_h = (content.h - PANEL_GAP * (rows - 1)) / rows
+    if profile.device_class is DeviceClass.PHONE:
+        orientation, cols, count = Orientation.LATERAL, 1, 1
+        w, h = max(w, h), min(w, h)
+    elif profile.device_class is DeviceClass.TABLET:
+        orientation, cols, count = Orientation.VERTICAL, 1, n
+    else:
+        orientation, cols, count = Orientation.GRID, math.ceil(math.sqrt(n)), n
+    rows = math.ceil(count / cols)
+    panel_w = (w - 2 * OUTER_MARGIN - PANEL_GAP * (cols - 1)) / cols
+    panel_h = (h - 2 * OUTER_MARGIN - PANEL_GAP * (rows - 1)) / rows
     panels = tuple(
         Rect(
-            content.x + (i % cols) * (panel_w + PANEL_GAP),
-            content.y + (i // cols) * (panel_h + PANEL_GAP),
+            OUTER_MARGIN + (i % cols) * (panel_w + PANEL_GAP),
+            OUTER_MARGIN + (i // cols) * (panel_h + PANEL_GAP),
             panel_w,
             panel_h,
         )
-        for i in range(n)
+        for i in range(count)
     )
-    return LayoutPlan(Orientation.GRID, (w, h), panels, OUTER_MARGIN)
-
-
-def _content_rect(w: float, h: float) -> Rect:
-    return Rect(OUTER_MARGIN, OUTER_MARGIN, w - 2 * OUTER_MARGIN, h - 2 * OUTER_MARGIN)
+    return LayoutPlan(orientation, (w, h), panels, OUTER_MARGIN)
 
 
 # --- SVG emission ---
@@ -325,20 +314,13 @@ def render_svg(spec: ChartSpec, plan: LayoutPlan, profile: DeviceProfile) -> Ren
         raise ValueError("layout plan does not match the chart spec's series count")
     emitter = _Emitter()
     radial = spec.kind in (ChartKind.RADIAL_LINE, ChartKind.RADIAL_BAR)
-    if len(plan.panels) == 1:
-        groups = [(plan.panels[0], list(range(n)), True)]
-    else:
-        last = len(plan.panels) - 1
-        shared_axis = plan.orientation is Orientation.VERTICAL
-        groups = [
-            (panel, [i], (not shared_axis) or i == last)
-            for i, panel in enumerate(plan.panels)
-        ]
-    for panel, indices, with_x_labels in groups:
-        if radial:
-            _render_radial_panel(emitter, spec, panel, indices, profile)
-        else:
-            _render_line_panel(emitter, spec, panel, indices, profile, with_x_labels)
+    render_panel = _render_radial_panel if radial else _render_line_panel
+    last = len(plan.panels) - 1
+    for i, panel in enumerate(plan.panels):
+        # a single panel draws every series; stacked facets share the bottom x labels
+        indices = [i] if last else list(range(n))
+        with_x_labels = plan.orientation is not Orientation.VERTICAL or i == last
+        render_panel(emitter, spec, panel, indices, profile, with_x_labels)
     w, h = plan.viewport
     body = "\n".join(emitter.parts)
     svg = (
@@ -351,8 +333,28 @@ def render_svg(spec: ChartSpec, plan: LayoutPlan, profile: DeviceProfile) -> Ren
     return RenderedChart(svg=svg, marks=partial.marks, viewbox=(w, h), diagnostics=diagnostics)
 
 
-def _base_font(profile: DeviceProfile) -> float:
-    return max(BASE_TICK_FONT, profile.min_font_px)
+def _fit_panel(emitter, spec, panel, indices, profile, fit, *args):
+    """Emit the panel's title and return (tick_font, layout) at the largest font that fits.
+
+    The title band is sized from the base font. `fit(panel, *args, font,
+    title_band)` is the chart kind's layout at one tick font, or None when
+    it does not fit; the font descends 1px at a time from the base font to
+    FONT_FLOOR.
+    """
+    base = max(BASE_TICK_FONT, profile.min_font_px)
+    title_font = base + 4.0
+    title_band = title_font + 10.0
+    font = base
+    while (layout := fit(panel, *args, font, title_band)) is None:
+        font -= 1.0
+        if font < FONT_FLOOR:
+            raise PanelTooSmall(
+                f"panel {panel.w:.0f}x{panel.h:.0f}px cannot fit the plot box at >= {FONT_FLOOR:.0f}px text"
+            )
+    title = ", ".join(spec.series[i].metric for i in indices)
+    emitter.text(panel.x + panel.w / 2.0, panel.y + title_font, title,
+                 title_font, kind="title", color="#111")
+    return font, layout
 
 
 def _value_bounds(spec: ChartSpec, indices) -> tuple[float, float]:
@@ -366,27 +368,18 @@ def _value_bounds(spec: ChartSpec, indices) -> tuple[float, float]:
 
 
 def _render_line_panel(emitter, spec, panel, indices, profile, with_x_labels):
-    title = ", ".join(spec.series[i].metric for i in indices)
-    font = _base_font(profile)
-    title_font = font + 4.0
-    title_band = title_font + 10.0
     lo, hi = _value_bounds(spec, indices)
     n_slots = len(spec.slot_labels)
 
     # The fit is computed as if labels were drawn even on facets that share
     # their time axis with the bottom one, so all facet frames align.
-    fit = _fit_line_panel(panel, spec.slot_labels, lo, hi, font, title_band)
-    if fit is None:
-        raise PanelTooSmall(
-            f"panel {panel.w:.0f}x{panel.h:.0f}px cannot fit the plot box at >= {FONT_FLOOR:.0f}px text"
-        )
-    tick_font, step, plot, y_ticks = fit
+    tick_font, (step, plot, y_ticks) = _fit_panel(
+        emitter, spec, panel, indices, profile, _fit_line_panel, spec.slot_labels, lo, hi
+    )
 
     transform = scale_to_viewport(Rect(0, 0, LINE_BOX_W, LINE_BOX_H), plot)
     frame = transform.apply_rect(Rect(0, 0, LINE_BOX_W, LINE_BOX_H))
 
-    emitter.text(panel.x + panel.w / 2.0, panel.y + title_font, title,
-                 title_font, kind="title", color="#111")
     emitter.rect(frame, stroke="#bbbbbb", kind="frame")
     emitter.line(frame.x, frame.y1, frame.x1, frame.y1, "#444444", kind="axis")
     emitter.line(frame.x, frame.y, frame.x, frame.y1, "#444444", kind="axis")
@@ -426,41 +419,34 @@ def _render_line_panel(emitter, spec, panel, indices, profile, with_x_labels):
         _render_legend(emitter, spec, indices, frame, tick_font)
 
 
-def _fit_line_panel(panel, labels, lo, hi, base_font, title_band):
-    """Search (font, thinning) for the largest font and least thinning that fit.
+def _fit_line_panel(panel, labels, lo, hi, font, title_band):
+    """The line layout at one tick font, with the least thinning that fits.
 
-    Thinning drops every other tick label per round, at most three rounds,
-    before the font starts shrinking toward the 8px floor. Returns
-    (tick_font, label_step, plot_rect, y_tick_count) or None.
+    Thinning drops every other tick label per round, at most three rounds;
+    past that the font must shrink. Returns (label_step, plot_rect,
+    y_tick_count), or None when nothing fits at this font.
     """
     n = len(labels)
-
-    def label_w(f):
-        return max(CHAR_W * f * len(lbl) for lbl in labels)
-
-    font = base_font
-    while font >= FONT_FLOOR:
-        y_labels = [f"{lo + (hi - lo) * j / 4.0:.6g}" for j in range(5)]
-        gutter_left = max(CHAR_W * font * len(t) for t in y_labels) + 12.0
-        gutter_bottom = font + 14.0
-        plot = Rect(
-            panel.x + gutter_left,
-            panel.y + title_band,
-            panel.w - gutter_left - 8.0,
-            panel.h - title_band - gutter_bottom,
-        )
-        if plot.w >= MIN_PLOT_PX and plot.h >= MIN_PLOT_PX:
-            y_ticks = 5 if plot.h >= 5 * (font + 4.0) else (3 if plot.h >= 3 * (font + 4.0) else 2)
-            scale = min(plot.w / LINE_BOX_W, plot.h / LINE_BOX_H)
-            inner_w = scale * (LINE_BOX_W - 2 * BOX_PAD)
-            for round_ in range(THINNING_ROUNDS + 1):
-                step = 2 ** round_
-                if n <= 1 or len(range(0, n, step)) == 1:
-                    return font, step, plot, y_ticks
-                spacing = inner_w * step / (n - 1)
-                if spacing >= label_w(font) + LABEL_GAP:
-                    return font, step, plot, y_ticks
-        font -= 1.0
+    y_labels = [f"{lo + (hi - lo) * j / 4.0:.6g}" for j in range(5)]
+    gutter_left = max(CHAR_W * font * len(t) for t in y_labels) + 12.0
+    gutter_bottom = font + 14.0
+    plot = Rect(
+        panel.x + gutter_left,
+        panel.y + title_band,
+        panel.w - gutter_left - 8.0,
+        panel.h - title_band - gutter_bottom,
+    )
+    if plot.w < MIN_PLOT_PX or plot.h < MIN_PLOT_PX:
+        return None
+    y_ticks = 5 if plot.h >= 5 * (font + 4.0) else (3 if plot.h >= 3 * (font + 4.0) else 2)
+    scale = min(plot.w / LINE_BOX_W, plot.h / LINE_BOX_H)
+    inner_w = scale * (LINE_BOX_W - 2 * BOX_PAD)
+    label_w = max(CHAR_W * font * len(lbl) for lbl in labels)
+    for round_ in range(THINNING_ROUNDS + 1):
+        step = 2 ** round_
+        # a step that keeps a single label always fits
+        if n <= step or inner_w * step / (n - 1) >= label_w + LABEL_GAP:
+            return step, plot, y_ticks
     return None
 
 
@@ -475,28 +461,18 @@ def _render_legend(emitter, spec, indices, frame, font):
         y += font + 6.0
 
 
-def _render_radial_panel(emitter, spec, panel, indices, profile):
-    title = ", ".join(spec.series[i].metric for i in indices)
-    base = _base_font(profile)
-    title_font = base + 4.0
-    title_band = title_font + 10.0
+def _render_radial_panel(emitter, spec, panel, indices, profile, with_x_labels):
+    # with_x_labels is unused: a ring has no x axis to share
     n = spec.angular_slots or len(spec.slot_labels)
     lo, hi = _value_bounds(spec, indices)
-
-    fit = _fit_radial_panel(panel, spec.slot_labels, base, title_band)
-    if fit is None:
-        raise PanelTooSmall(
-            f"panel {panel.w:.0f}x{panel.h:.0f}px cannot fit the plot box at >= {FONT_FLOOR:.0f}px text"
-        )
-    font, region = fit
+    max_label = max((len(lbl) for lbl in spec.slot_labels), default=0)
+    font, region = _fit_panel(emitter, spec, panel, indices, profile, _fit_radial_panel, max_label)
 
     transform = scale_to_viewport(Rect(0, 0, RADIAL_BOX, RADIAL_BOX), region)
     cx, cy = transform.apply(RADIAL_BOX / 2.0, RADIAL_BOX / 2.0)
     r_out = transform.scale * R_OUTER
     r_in = transform.scale * R_INNER
 
-    emitter.text(panel.x + panel.w / 2.0, panel.y + title_font, title,
-                 title_font, kind="title", color="#111")
     emitter.circle(cx, cy, r_out, stroke="#bbbbbb")
     emitter.circle(cx, cy, r_in, stroke="#dddddd")
 
@@ -554,22 +530,19 @@ def _render_radial_panel(emitter, spec, panel, indices, profile):
         emitter.text(x, y, spec.slot_labels[slot], font, anchor=anchor, kind="slot_label")
 
 
-def _fit_radial_panel(panel, labels, base_font, title_band):
-    font = base_font
-    max_label = max((len(lbl) for lbl in labels), default=0)
-    while font >= FONT_FLOOR:
-        inset_lr = CHAR_W * font * max_label + 16.0
-        inset_tb = font + 16.0
-        region = Rect(
-            panel.x + inset_lr,
-            panel.y + title_band + inset_tb,
-            panel.w - 2 * inset_lr,
-            panel.h - title_band - 2 * inset_tb,
-        )
-        if region.w >= MIN_PLOT_PX and region.h >= MIN_PLOT_PX:
-            return font, region
-        font -= 1.0
-    return None
+def _fit_radial_panel(panel, max_label, font, title_band):
+    """The ring's region at one slot-label font, or None when it is too small."""
+    inset_lr = CHAR_W * font * max_label + 16.0
+    inset_tb = font + 16.0
+    region = Rect(
+        panel.x + inset_lr,
+        panel.y + title_band + inset_tb,
+        panel.w - 2 * inset_lr,
+        panel.h - title_band - 2 * inset_tb,
+    )
+    if region.w < MIN_PLOT_PX or region.h < MIN_PLOT_PX:
+        return None
+    return region
 
 
 def _emit_sector(emitter, polar_xy, a0, a1, r0_units, r1_units, color):
@@ -619,13 +592,7 @@ def legibility_check(rendered: RenderedChart, profile: DeviceProfile) -> Diagnos
     blank = _blank_ratio(rendered.marks, w, h)
     fonts = [m.font_px for m in rendered.marks if m.font_px is not None]
     min_text = min(fonts) if fonts else math.inf
-    failed = []
-    if out_of_view > 0:
-        failed.append(RULE_OUT_OF_VIEW)
-    if blank > profile.max_blank_ratio:
-        failed.append(RULE_BLANK)
-    if min_text < profile.min_font_px:
-        failed.append(RULE_TEXT)
+    failed = [rule for rule, _, _, fails in _rules(out_of_view, blank, min_text, profile) if fails]
     return Diagnostics(
         out_of_view_marks=out_of_view,
         blank_ratio=blank,
@@ -661,19 +628,21 @@ def _blank_ratio(marks, w: float, h: float) -> float:
     return 1.0 - occupied.count(1) / (nx * ny)
 
 
+def _rules(out_of_view, blank, min_text, profile) -> tuple[tuple[str, float, float, bool], ...]:
+    """(rule, value, threshold, fails) for each legibility rule, in report order."""
+    return (
+        (RULE_OUT_OF_VIEW, out_of_view, 0, out_of_view > 0),
+        (RULE_BLANK, blank, profile.max_blank_ratio, blank > profile.max_blank_ratio),
+        (RULE_TEXT, min_text, profile.min_font_px, min_text < profile.min_font_px),
+    )
+
+
 def legibility_report(diagnostics: Diagnostics, profile: DeviceProfile) -> str:
     """Line-oriented diagnostics: `rule: value: threshold: pass|fail`."""
-    rows = [
-        (RULE_OUT_OF_VIEW, diagnostics.out_of_view_marks, 0,
-         diagnostics.out_of_view_marks == 0),
-        (RULE_BLANK, diagnostics.blank_ratio, profile.max_blank_ratio,
-         diagnostics.blank_ratio <= profile.max_blank_ratio),
-        (RULE_TEXT, diagnostics.min_text_px, profile.min_font_px,
-         diagnostics.min_text_px >= profile.min_font_px),
-    ]
+    rules = _rules(diagnostics.out_of_view_marks, diagnostics.blank_ratio, diagnostics.min_text_px, profile)
     lines = [
-        f"{rule}: {_fmt(value)}: {_fmt(threshold)}: {'pass' if ok else 'fail'}"
-        for rule, value, threshold, ok in rows
+        f"{rule}: {_fmt(value)}: {_fmt(threshold)}: {'fail' if fails else 'pass'}"
+        for rule, value, threshold, fails in rules
     ]
     verdict = "pass" if diagnostics.passed else "fail: " + ", ".join(diagnostics.failed_rules)
     lines.append(f"verdict: {verdict}")

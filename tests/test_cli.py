@@ -306,6 +306,51 @@ def test_render_of_a_non_ascii_count_exits_2_with_named_error(tmp_path, capsys):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("suffix, text", [
+    (".txt", "2021-01-04\nGlucose: {big} mg/dL\n2021-01-11\nGlucose: 104 mg/dL\n"),
+    (".csv", "date,metric,value,unit\n2021-01-04,glucose,{big},mg/dL\n2021-01-11,glu,104,mg/dL\n"),
+], ids=["plain", "csv"])
+def test_ingest_skips_numerals_too_long_for_a_float_and_its_outputs_load(
+    tmp_path, lexicon_arg, capsys, suffix, text
+):
+    report = tmp_path / f"long{suffix}"
+    report.write_text(text.format(big="1" * 400), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", str(report), "--lexicon", lexicon_arg, "--out", str(out), "--store"]) == 0
+    assert "warning: long" in capsys.readouterr().out
+    observations, _ = load_observations(out / "observations.txt")
+    assert [o.value for o in observations] == [104.0]
+    assert len(load_table(out / "table.txt").rows) == 1
+    assert main(["render", str(out / "table.txt"), "--out", str(tmp_path / "r")]) == 0
+
+
+def test_ingest_with_a_lexicon_bound_too_long_for_a_float_exits_2(tmp_path, corpus_args, capsys):
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text(f"glucose|glu|mg/dL|70..{'1' * 400}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", *corpus_args, "--lexicon", str(lexicon), "--out", str(out), "--store"]) == 2
+    err = capsys.readouterr().err
+    assert "error: InvalidLexicon:" in err and "internal error" not in err
+    assert not out.exists()
+
+
+def test_ingest_of_a_csv_field_over_the_csv_limit_exits_2(tmp_path, lexicon_arg, capsys):
+    report = tmp_path / "huge.csv"
+    report.write_text("date,metric,value,unit\n2021-01-04,glucose," + "9" * 131_073 + ",mg/dL\n",
+                      encoding="utf-8")
+    assert main(["ingest", str(report), "--lexicon", lexicon_arg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error: ReportReadError: report huge.csv" in err and "internal error" not in err
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, store_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"aggregator = mean\n\xff\n")
+    assert main(["render", str(store_path), "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: ConfigError:" in err and "not valid UTF-8" in err and "internal error" not in err
+
+
 # --- device profiles ---
 
 

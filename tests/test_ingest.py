@@ -349,3 +349,46 @@ def test_load_lexicon_bad_grammar(tmp_path):
     bad.write_text("m|a|u|10..2\n", encoding="utf-8")
     with pytest.raises(InvalidLexicon):
         load_lexicon(bad)
+
+
+# --- numerals too long for a float ---
+
+TOO_LONG = "1" * 400  # float() gives inf
+
+
+def test_plain_numeral_too_long_for_a_float_warns_and_skips_the_line():
+    lex = make_lexicon(GLUCOSE)
+    observations, warnings = extract_observations(
+        doc(["2021-03-14", f"Glucose: {TOO_LONG} mg/dL", "Glucose: 100 mg/dL"]), lex
+    )
+    assert [o.value for o in observations] == [100.0]
+    assert warnings == ["r1:2: malformed numeral after alias 'glucose' (metric 'glucose')"]
+
+
+def test_csv_value_too_long_for_a_float_warns_and_skips_the_row():
+    lex = make_lexicon(GLUCOSE)
+    document = doc(
+        ["date,metric,value,unit", f"2021-03-14,glucose,{TOO_LONG},mg/dL", "2021-03-15,glu,99,mg/dL"],
+        fmt=ReportFormat.CSV,
+    )
+    observations, warnings = extract_observations(document, lex)
+    assert [o.value for o in observations] == [99.0]
+    assert warnings == [f"r1:2: malformed value {TOO_LONG!r} for metric 'glucose'"]
+
+
+def test_lexicon_range_bound_too_long_for_a_float_is_invalid(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_text(f"glucose|glu|mg/dL|70..{TOO_LONG}\n", encoding="utf-8")
+    with pytest.raises(InvalidLexicon, match="lex.txt:1: reference range bounds must fit a float"):
+        load_lexicon(path)
+
+
+def test_csv_field_over_the_csv_limit_is_a_report_read_error():
+    lex = make_lexicon(GLUCOSE)
+    document = doc(
+        ["date,metric,value,unit", "2021-03-14,glucose," + "9" * 131_073 + ",mg/dL"],
+        fmt=ReportFormat.CSV,
+        report_id="huge.csv",
+    )
+    with pytest.raises(ReportReadError, match="report huge.csv is not readable CSV"):
+        extract_observations(document, lex)
