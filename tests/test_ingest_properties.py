@@ -7,6 +7,7 @@ timestamp grammar without its pre-check.
 """
 
 import datetime as dt
+import math
 import re
 
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from chronofuse import (
     DateOrder,
     LexiconEntry,
     MetricLexicon,
+    Observation,
     ReportDocument,
     ReportFormat,
     TimePoint,
@@ -23,7 +25,8 @@ from chronofuse import (
     parse_measurement,
     parse_timestamp,
 )
-from chronofuse.errors import NoTimestamp
+from chronofuse.errors import NoTimestamp, NoTimestampInDocument
+from chronofuse.ingest import RefRange
 
 # --- reference implementations ---
 
@@ -274,3 +277,189 @@ def _outcome(parse, text, order):
 @given(timestamp_text, st.sampled_from(list(DateOrder)))
 def test_timestamp_precheck_keeps_the_grammar(text, order):
     assert _outcome(parse_timestamp, text, order) == _outcome(reference_parse_timestamp, text, order)
+
+
+# --- document-level pairing ---
+#
+# Reference rules for whole documents, written as a specification rather
+# than a single pass: a plain-text measurement takes the timestamp of the
+# nearest line at or before it that has one, or the document's first
+# timestamp when no such line exists; `.rec` documents skip blank and
+# `#` lines and carry one date|metric|value|unit row per line.
+
+PAIRING_LEXICON = MetricLexicon(
+    [
+        LexiconEntry("glucose", ("glu", "blood glucose"), ("mg/dL", "mmol/L"), RefRange(70.0, 140.0)),
+        LexiconEntry("hba1c", ("a1c",), ("%",), RefRange(4.0, 6.5, "%")),
+        LexiconEntry("pulse", ("hr", "heart rate"), ("bpm",)),
+        LexiconEntry("creatinine", ("creat",), ()),
+    ]
+)
+PAIRING_UNITS = ["mg/dL", "MMOL/L", "%", "bpm", "mmHg", ""]
+
+
+def _reference_flags(entry, value, mismatch):
+    flags = {"unit_mismatch"} if mismatch else set()
+    rng = entry.reference_range
+    if rng is not None and not rng.low <= value <= rng.high:
+        flags.add("out_of_range")
+    return frozenset(flags)
+
+
+def _reference_time(text, date_order):
+    try:
+        return reference_parse_timestamp(text, date_order)
+    except NoTimestamp:
+        return None
+
+
+def reference_extract_plain(lines, lexicon, date_order):
+    stamps = [_reference_time(line, date_order) for line in lines]
+    header = next((t for t in stamps if t is not None), None)
+    observations, warnings = [], []
+    for lineno, line in enumerate(lines, start=1):
+        match, warning = reference_scan(line, lexicon)
+        if warning:
+            warnings.append(f"r:{lineno}: {warning}")
+        if match is None:
+            continue
+        if header is None:
+            raise NoTimestampInDocument("r")
+        earlier = [t for t in stamps[:lineno] if t is not None]
+        time = earlier[-1] if earlier else header
+        metric, value, unit = match
+        entry = reference_entry_for(lexicon, metric)
+        # reference_scan warns about a match only for an unexpected unit
+        flags = _reference_flags(entry, value, warning is not None)
+        observations.append(Observation(metric, value, unit, time, "r", flags))
+    return observations, warnings
+
+
+def reference_extract_records(lines, lexicon, date_order):
+    observations, warnings = [], []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        fields = line.split("|")
+        if len(fields) != 4:
+            warnings.append(f"r:{lineno}: expected 4 pipe-delimited fields")
+            continue
+        raw_date, raw_metric, raw_value, raw_unit = (f.strip() for f in fields)
+        time = _reference_time(raw_date, date_order)
+        entry = reference_entry_for(lexicon, raw_metric)
+        if time is None:
+            warnings.append(f"r:{lineno}: unparseable date {raw_date!r}")
+            continue
+        if entry is None:
+            warnings.append(f"r:{lineno}: unknown metric {raw_metric!r}")
+            continue
+        value = float(raw_value) if _NUMBER_RE.fullmatch(raw_value) else None
+        if value is None or not math.isfinite(value):
+            warnings.append(
+                f"r:{lineno}: malformed value {raw_value!r} for metric {entry.canonical!r}"
+            )
+            continue
+        unit, mismatch = reference_resolve_unit([raw_unit], entry)
+        if mismatch:
+            warnings.append(
+                f"r:{lineno}: unexpected unit {raw_unit!r} for {entry.canonical!r}; "
+                f"expected one of {', '.join(entry.units)}"
+            )
+        flags = _reference_flags(entry, value, mismatch)
+        observations.append(Observation(entry.canonical, value, unit, time, "r", flags))
+    return observations, warnings
+
+
+def _extraction(extract, *args):
+    try:
+        observations, warnings = extract(*args)
+    except NoTimestampInDocument:
+        return "NoTimestampInDocument"
+    fields = [(o.metric, repr(o.value), o.unit, o.time, o.source, o.flags) for o in observations]
+    return fields, warnings
+
+
+@st.composite
+def dates_in_any_form(draw):
+    day = draw(st.dates(dt.date(1999, 1, 1), dt.date(2031, 12, 31)))
+    y, m, d = f"{day.year:04d}", f"{day.month:02d}", f"{day.day:02d}"
+    text = draw(
+        st.sampled_from(
+            [f"{y}-{m}-{d}", f"{d}/{m}/{y}", f"{m}/{d}/{y}", f"{m}-{d}-{y}", f"{d}-{m}-{y}",
+             "31/02/2021", "2021-13-01"]
+        )
+    )
+    if draw(st.booleans()):
+        hh, mm = draw(st.integers(0, 25)), draw(st.integers(0, 61))
+        text += draw(st.sampled_from([" ", "\t", "  "])) + f"{hh:02d}:{mm:02d}"
+    return text
+
+
+measurement_lines = st.builds(
+    lambda alias, casing, sep, value, unit: f"{casing(alias)}{sep}{value} {unit}".rstrip(),
+    st.sampled_from([alias for alias, _ in PAIRING_LEXICON.iter_aliases()]),
+    st.sampled_from(CASINGS),
+    st.sampled_from([": ", " ", " = ", ", "]),
+    st.one_of(
+        st.floats(-10, 300, allow_nan=False).map(lambda v: f"{v:.1f}"),
+        st.sampled_from(["", "n/a", "7,5", "12a", "1.", "-0"]),
+    ),
+    st.sampled_from(PAIRING_UNITS),
+)
+neither_lines = st.one_of(
+    st.sampled_from(["", "Patient: P-001", "Notes follow", "visit 3 of 12", "2021"]),
+    st.text(ALPHABET, max_size=10),
+)
+plain_lines = st.one_of(
+    dates_in_any_form(),
+    measurement_lines,
+    st.builds(lambda d, m: f"{d} {m}", dates_in_any_form(), measurement_lines),
+    st.builds(lambda m, d: f"{m} {d}", measurement_lines, dates_in_any_form()),
+    neither_lines,
+)
+
+record_fields = st.tuples(
+    st.one_of(dates_in_any_form(), st.sampled_from(["", "someday", "2021-02-30"])),
+    st.builds(
+        lambda alias, casing: casing(alias),
+        st.sampled_from([a for a, _ in PAIRING_LEXICON.iter_aliases()] + ["weight", ""]),
+        st.sampled_from(CASINGS),
+    ),
+    st.one_of(
+        st.floats(-10, 300, allow_nan=False).map(lambda v: f"{v:.2f}"),
+        st.sampled_from(["", "x", "1e3", "nan", "9" * 400, " 5 "]),
+    ),
+    st.sampled_from(PAIRING_UNITS + ["  mg/dl "]),
+)
+whitespace = st.sampled_from(["", " ", "\t", "  \t", "　"])
+
+
+@st.composite
+def record_lines(draw):
+    kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+    if kind == "blank":
+        return draw(whitespace)
+    if kind == "comment":
+        return draw(whitespace) + "#" + draw(st.sampled_from(["", " note", "2021-01-01|glu|5|"]))
+    fields = list(draw(record_fields))
+    count = draw(st.sampled_from([3, 4, 4, 4, 5]))
+    fields = (fields + ["extra"])[:count]
+    return draw(whitespace) + "|".join(fields) + draw(whitespace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(plain_lines, max_size=12), st.sampled_from(list(DateOrder)))
+def test_plain_text_pairing_agrees_with_reference(lines, order):
+    doc = ReportDocument("r", "r.txt", lines, ReportFormat.PLAIN_TEXT)
+    assert _extraction(extract_observations, doc, PAIRING_LEXICON, order) == _extraction(
+        reference_extract_plain, lines, PAIRING_LEXICON, order
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(record_lines(), max_size=12), st.sampled_from(list(DateOrder)))
+def test_record_rows_agree_with_reference(lines, order):
+    doc = ReportDocument("r", "r.rec", lines, ReportFormat.STRUCTURED_RECORDS)
+    assert _extraction(extract_observations, doc, PAIRING_LEXICON, order) == _extraction(
+        reference_extract_records, lines, PAIRING_LEXICON, order
+    )
