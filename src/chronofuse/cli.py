@@ -286,10 +286,7 @@ def _probe_higher_time_series(table: TemporalTable, config: Config) -> bool:
     """At least 52 weekly slices exist and their line chart renders legibly."""
     if table.granularity is Granularity.MONTH:
         return False
-    try:
-        weekly = rebucket(table, Granularity.WEEK)
-    except (ChronofuseError, ValueError):
-        return False
+    weekly = rebucket(table, Granularity.WEEK)
     if len(weekly.rows) < 52 or not weekly.columns:
         return False
     return _renders_legibly(weekly, config, DeviceClass.MONITOR)

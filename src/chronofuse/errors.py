@@ -45,6 +45,14 @@ class InvertedRange(ChronofuseError):
     """A time range was given with start after end."""
 
 
+class NonFiniteValue(ChronofuseError, ValueError):
+    """An observation to fuse or archive has a NaN or infinite value."""
+
+
+class FinerGranularity(ChronofuseError, ValueError):
+    """A table was asked to rebucket to a finer granularity than its own."""
+
+
 class EmptyCell(ChronofuseError):
     """Aggregation was requested for a cell with no entries."""
 

@@ -247,9 +247,14 @@ def load_report(path: str | Path, format_hint: ReportFormat | None = None) -> Re
 #   A/B/YYYY              slash form; A/B order set by the date_order switch
 #   MM-DD-YYYY            dash form with two-digit lead, always month first
 
-_ISO_RE = re.compile(r"(?<!\d)(\d{4})-(\d{2})-(\d{2})(?!\d)")
-_SLASH_RE = re.compile(r"(?<!\d)(\d{2})/(\d{2})/(\d{4})(?!\d)")
-_DASH_RE = re.compile(r"(?<!\d)(\d{2})-(\d{2})-(\d{4})(?!\d)")
+_ISO_RE = re.compile(r"(?<!\d)(?P<y>\d{4})-(?P<m>\d{2})-(?P<d>\d{2})(?!\d)")
+_DASH_RE = re.compile(r"(?<!\d)(?P<m>\d{2})-(?P<d>\d{2})-(?P<y>\d{4})(?!\d)")
+_DMY_SLASH_RE = re.compile(r"(?<!\d)(?P<d>\d{2})/(?P<m>\d{2})/(?P<y>\d{4})(?!\d)")
+_MDY_SLASH_RE = re.compile(r"(?<!\d)(?P<m>\d{2})/(?P<d>\d{2})/(?P<y>\d{4})(?!\d)")
+_DATE_FORMS = {
+    DateOrder.DMY: (_ISO_RE, _DMY_SLASH_RE, _DASH_RE),
+    DateOrder.MDY: (_ISO_RE, _MDY_SLASH_RE, _DASH_RE),
+}
 _TIME_RE = re.compile(r"[ \t]+(\d{2}):(\d{2})(?!\d)")
 # Every accepted date form contains this, so a line without it has no date.
 _DATE_HINT_RE = re.compile(r"\d{2}[-/]\d{2}")
@@ -265,22 +270,11 @@ def parse_timestamp(text: str, date_order: DateOrder = DateOrder.DMY) -> TimePoi
     if not _DATE_HINT_RE.search(text):
         raise NoTimestamp(f"no accepted timestamp in {text!r}")
     candidates: list[tuple[int, dt.date, int]] = []
-    for match in _ISO_RE.finditer(text):
-        y, m, d = (int(g) for g in match.groups())
-        date = _checked_date(y, m, d)
-        if date is not None:
-            candidates.append((match.start(), date, match.end()))
-    for match in _SLASH_RE.finditer(text):
-        a, b, y = (int(g) for g in match.groups())
-        day, month = (a, b) if date_order is DateOrder.DMY else (b, a)
-        date = _checked_date(y, month, day)
-        if date is not None:
-            candidates.append((match.start(), date, match.end()))
-    for match in _DASH_RE.finditer(text):
-        m, d, y = (int(g) for g in match.groups())
-        date = _checked_date(y, m, d)
-        if date is not None:
-            candidates.append((match.start(), date, match.end()))
+    for pattern in _DATE_FORMS[date_order]:
+        for match in pattern.finditer(text):
+            date = _checked_date(int(match["y"]), int(match["m"]), int(match["d"]))
+            if date is not None:
+                candidates.append((match.start(), date, match.end()))
     if not candidates:
         raise NoTimestamp(f"no accepted timestamp in {text!r}")
     start, date, end = min(candidates)
@@ -367,13 +361,8 @@ class _AliasMatcher:
         return cls(re.compile(f"{_ALIAS_BEFORE}(?={body})", re.IGNORECASE), tuple(slots))
 
 
-@dataclass
-class _LineMatch:
-    metric: str
-    value: float
-    unit: str
-    unit_mismatch: bool
-    entry: LexiconEntry
+# One matched measurement: (entry, value, unit, unit_mismatch).
+_Match = tuple[LexiconEntry, float, str, bool]
 
 
 def parse_measurement(line: str, lexicon: MetricLexicon) -> tuple[str, float, str] | None:
@@ -387,10 +376,11 @@ def parse_measurement(line: str, lexicon: MetricLexicon) -> tuple[str, float, st
     match, _ = _scan_line(line, lexicon)
     if match is None:
         return None
-    return (match.metric, match.value, match.unit)
+    entry, value, unit, _ = match
+    return (entry.canonical, value, unit)
 
 
-def _scan_line(line: str, lexicon: MetricLexicon) -> tuple[_LineMatch | None, str | None]:
+def _scan_line(line: str, lexicon: MetricLexicon) -> tuple[_Match | None, str | None]:
     """Full line scan: returns (match, warning). Either may be None."""
     matcher = lexicon._line_matcher()
     best: tuple[int, int, str, LexiconEntry] | None = None
@@ -431,7 +421,7 @@ def _scan_line(line: str, lexicon: MetricLexicon) -> tuple[_LineMatch | None, st
             f"unexpected unit after {entry.canonical!r} value; expected one of "
             f"{', '.join(entry.units)}"
         )
-    return _LineMatch(entry.canonical, value, unit, mismatch, entry), warning
+    return (entry, value, unit, mismatch), warning
 
 
 def _resolve_unit(tokens: list[str], entry: LexiconEntry) -> tuple[str, bool]:
@@ -470,43 +460,38 @@ def extract_observations(
     if doc.format is ReportFormat.CSV:
         return _extract_csv(doc, lexicon, date_order)
     if doc.format is ReportFormat.STRUCTURED_RECORDS:
-        return _extract_records(doc, lexicon, date_order)
+        rows = _pipe_records(doc.lines)
+        return _extract_rows(doc, rows, lexicon, date_order, "expected 4 pipe-delimited fields")
     return _extract_plain(doc, lexicon, date_order)
 
 
 def _extract_plain(doc, lexicon, date_order):
     warnings: list[str] = []
-    pending: list[tuple[int, _LineMatch]] = []  # matches seen before any timestamp
-    observations: list[Observation] = []
+    matches: list[tuple[_Match, TimePoint | None]] = []  # with the nearest preceding timestamp
     current: TimePoint | None = None
     header: TimePoint | None = None
 
     for lineno, line in enumerate(doc.lines, start=1):
         try:
-            found = parse_timestamp(line, date_order)
+            current = parse_timestamp(line, date_order)
         except NoTimestamp:
-            found = None
-        if found is not None:
-            current = found
-            if header is None:
-                header = found
+            pass
+        if header is None:
+            header = current
         match, warning = _scan_line(line, lexicon)
         if warning:
             warnings.append(f"{doc.report_id}:{lineno}: {warning}")
-        if match is None:
-            continue
-        if current is None:
-            pending.append((lineno, match))
-        else:
-            observations.append(_to_observation(match, current, doc.report_id))
+        if match is not None:
+            matches.append((match, current))
 
-    if pending:
-        if header is None:
-            raise NoTimestampInDocument(
-                f"report {doc.report_id} has measurements but no parseable timestamp"
-            )
-        backfilled = [_to_observation(m, header, doc.report_id) for _, m in pending]
-        observations = backfilled + observations
+    if matches and header is None:
+        raise NoTimestampInDocument(
+            f"report {doc.report_id} has measurements but no parseable timestamp"
+        )
+    # Matches before the first timestamp are a prefix; they take the header date.
+    observations = [
+        _to_observation(match, time or header, doc.report_id) for match, time in matches
+    ]
     return observations, warnings
 
 
@@ -523,16 +508,6 @@ def _extract_csv(doc, lexicon, date_order):
         if any(cell.strip() for cell in row)
     ]
     return _extract_rows(doc, numbered, lexicon, date_order, "expected 4 fields, got {}")
-
-
-def _extract_records(doc, lexicon, date_order):
-    """Pipe-delimited record format: date|metric|value|unit per line, `#` comments skipped."""
-    numbered = [
-        (lineno, line.split("|"))
-        for lineno, line in enumerate(doc.lines, start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    return _extract_rows(doc, numbered, lexicon, date_order, "expected 4 pipe-delimited fields")
 
 
 def _extract_rows(doc, rows, lexicon, date_order, wrong_count: str):
@@ -578,25 +553,33 @@ def _explicit_row(fields, lexicon, date_order, report_id):
             f"unexpected unit {raw_unit!r} for {entry.canonical!r}; expected one of "
             f"{', '.join(entry.units)}"
         )
-    match = _LineMatch(entry.canonical, value, unit, mismatch, entry)
-    return _to_observation(match, time, report_id), warning
+    return _to_observation((entry, value, unit, mismatch), time, report_id), warning
 
 
-def _to_observation(match: _LineMatch, time: TimePoint, report_id: str) -> Observation:
+def _to_observation(match: _Match, time: TimePoint, report_id: str) -> Observation:
+    entry, value, unit, unit_mismatch = match
     flags = set()
-    if match.unit_mismatch:
+    if unit_mismatch:
         flags.add(FLAG_UNIT_MISMATCH)
-    rng = match.entry.reference_range
-    if rng is not None and not rng.contains(match.value):
+    rng = entry.reference_range
+    if rng is not None and not rng.contains(value):
         flags.add(FLAG_OUT_OF_RANGE)
     return Observation(
-        metric=match.metric,
-        value=match.value,
-        unit=match.unit,
+        metric=entry.canonical,
+        value=value,
+        unit=unit,
         time=time,
         source=report_id,
         flags=frozenset(flags),
     )
+
+
+def _pipe_records(lines: list[str]):
+    """(line number, fields split on `|`) of each line that is not blank or a `#` comment."""
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped.split("|")
 
 
 # --- lexicon file grammar ---
@@ -615,11 +598,7 @@ def load_lexicon(path: str | Path) -> MetricLexicon:
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidLexicon(f"cannot read lexicon file {path}: {exc}") from exc
     entries: list[LexiconEntry] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("|")
+    for lineno, parts in _pipe_records(text.splitlines()):
         if len(parts) != 4:
             raise InvalidLexicon(f"{path.name}:{lineno}: expected 4 pipe-delimited fields")
         canonical = parts[0].strip()

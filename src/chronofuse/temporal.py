@@ -21,8 +21,10 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyCell,
+    FinerGranularity,
     InvertedRange,
     MalformedStore,
+    NonFiniteValue,
     UnitConflict,
     VersionMismatch,
 )
@@ -191,6 +193,11 @@ def _merge_unit(units: dict[str, str], metric: str, unit: str) -> None:
         units.setdefault(metric, current)
 
 
+def _check_finite(obs: Observation) -> None:
+    if not math.isfinite(obs.value):
+        raise NonFiniteValue(f"non-finite value for {obs.metric} from {obs.source}")
+
+
 def _entry_order(entry: CellEntry) -> tuple[str, float, float]:
     """Canonical cell entry order: by source, then value, then sign (-0.0 before 0.0)."""
     return (entry.source, entry.value, math.copysign(1.0, entry.value))
@@ -226,8 +233,7 @@ class _Accumulator:
 
     def add_observations(self, observations: Iterable[Observation]) -> None:
         for obs in observations:
-            if not math.isfinite(obs.value):
-                raise ValueError(f"non-finite value for {obs.metric} from {obs.source}")
+            _check_finite(obs)
             row = self.entries.setdefault(slice_start(obs.time.date, self.granularity), {})
             row.setdefault(obs.metric, []).append(CellEntry(obs.value, obs.source))
             _merge_unit(self.units, obs.metric, obs.unit)
@@ -334,7 +340,9 @@ def rebucket(table: TemporalTable, granularity: Granularity) -> TemporalTable:
     """Re-key a table to a coarser (or equal) granularity."""
     order = [Granularity.DAY, Granularity.WEEK, Granularity.MONTH]
     if order.index(granularity) < order.index(table.granularity):
-        raise ValueError(f"cannot rebucket {table.granularity.value} table to {granularity.value}")
+        raise FinerGranularity(
+            f"cannot rebucket {table.granularity.value} table to {granularity.value}"
+        )
     if granularity is table.granularity:
         return table
     acc = _Accumulator(granularity, table.columns)
@@ -619,6 +627,7 @@ def save_observations(
     for obs in observations:
         for token, what in ((obs.source, "report id"), (obs.metric, "metric"), (obs.unit, "unit")):
             _writable_token(token, what)
+        _check_finite(obs)  # load_observations rejects non-finite values
         flags = ",".join(sorted(obs.flags))
         lines.append(
             f"obs {obs.source}|{obs.metric}|{obs.value!r}|{obs.unit}|{obs.time.isoformat()}|{flags}"

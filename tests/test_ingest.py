@@ -1,4 +1,5 @@
 import datetime as dt
+import importlib.util
 
 import pytest
 
@@ -392,3 +393,17 @@ def test_csv_field_over_the_csv_limit_is_a_report_read_error():
     )
     with pytest.raises(ReportReadError, match="report huge.csv is not readable CSV"):
         extract_observations(document, lex)
+
+
+def test_fixture_script_reproduces_the_committed_reports(fixtures_dir, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "make_fixture_reports", fixtures_dir / "make_fixture_reports.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.HERE = tmp_path
+    (tmp_path / "reports").mkdir()
+    script.main()
+    for name in ("report_a.txt", "report_b.csv"):
+        written = (tmp_path / "reports" / name).read_bytes()
+        assert written == (fixtures_dir / "reports" / name).read_bytes(), name

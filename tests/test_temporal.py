@@ -26,9 +26,12 @@ from chronofuse import (
     slice_range,
 )
 from chronofuse.errors import (
+    ChronofuseError,
     EmptyCell,
+    FinerGranularity,
     InvertedRange,
     MalformedStore,
+    NonFiniteValue,
     UnitConflict,
     VersionMismatch,
 )
@@ -267,6 +270,22 @@ def test_rebucket_refuses_finer():
     table, _ = fuse([obs("a", 1.0, "2021-01-01")], Granularity.MONTH)
     with pytest.raises(ValueError):
         rebucket(table, Granularity.DAY)
+
+
+def test_rebucket_to_a_finer_granularity_is_a_chronofuse_error():
+    table, _ = fuse([obs("a", 1.0, "2021-01-01")], Granularity.WEEK)
+    with pytest.raises(FinerGranularity, match="cannot rebucket week table to day") as info:
+        rebucket(table, Granularity.DAY)
+    assert isinstance(info.value, ChronofuseError)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_value_in_fuse_or_add_report_is_a_chronofuse_error(bad):
+    table, _ = fuse([obs("a", 1.0, "2021-01-01")])
+    for call in (fuse, lambda o: add_report(table, o)):
+        with pytest.raises(NonFiniteValue, match="non-finite value for a from r1") as info:
+            call([obs("a", 1.0, "2021-01-02"), obs("a", bad, "2021-01-03")])
+        assert isinstance(info.value, ChronofuseError)
 
 
 # --- persistence ---
@@ -660,8 +679,10 @@ def test_save_table_refuses_what_load_table_cannot_read(tmp_path, observation, r
         (obs("a\x85b", 1.0, "2021-01-01"), {}),
         (obs("a", 1.0, "2021-01-01"), {"a|b": RefRange(0.0, 1.0)}),
         (obs("a", 1.0, "2021-01-01"), {"a": RefRange(0.0, 1.0, "mg\rdL")}),
+        (obs("a", float("inf"), "2021-01-01"), {}),
     ],
-    ids=["metric-line-break", "range-metric-separator", "range-unit-line-break"],
+    ids=["metric-line-break", "range-metric-separator", "range-unit-line-break",
+         "non-finite-value"],
 )
 def test_save_observations_refuses_what_load_observations_cannot_read(tmp_path, observation, ranges):
     from chronofuse import save_observations
