@@ -22,7 +22,7 @@ from .charts import (
     build_radial_chart,
 )
 from .config import Config, load_config
-from .errors import ChronofuseError, DuplicateReport, MalformedStore
+from .errors import ChronofuseError, ConfigError, DuplicateReport, MalformedStore, read_text
 from .ingest import (
     Observation,
     TimePoint,
@@ -56,14 +56,14 @@ FEATURE_DEVICES = "Device transparency"
 FEATURE_DETAILS = "Descriptive details on implementation"
 FEATURE_DYNAMIC = "Dynamic data accumulation"
 
-_KINDS = ("line", "radial", "radial-bar")
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # per call, so that a wrapper set on a cmd_* attribute (bench/tracing.py) is the one called
+    handlers = dict(ingest=cmd_ingest, render=cmd_render, check=cmd_check, report=cmd_report)
     try:
-        return args.handler(args)
+        return handlers[args.command](args)
     except ChronofuseError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -82,53 +82,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"chronofuse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("input", help="table store or observation archive")
+    chart = argparse.ArgumentParser(add_help=False)
+    chart.add_argument("--kind", choices=("line", "radial", "radial-bar"), default="line")
+    chart.add_argument("--metrics", help="comma-separated metric names (default: all)")
+    chart.add_argument("--from", dest="time_from", help="range start (accepted timestamp format)")
+    chart.add_argument("--to", dest="time_to", help="range end")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--granularity", choices=[g.value for g in Granularity],
+                        help="bucket size when fusing observations")
+    common.add_argument("--config", help="config file (falls back to $CHRONOFUSE_CONFIG)")
 
-    p_ingest = sub.add_parser("ingest", help="extract observations from report files")
+    p_ingest = sub.add_parser("ingest", parents=[common],
+                              help="extract observations from report files")
     p_ingest.add_argument("reports", nargs="+", help="report files (.txt, .csv, .rec)")
     p_ingest.add_argument("--lexicon", help="metric lexicon file")
-    p_ingest.add_argument("--granularity", choices=[g.value for g in Granularity])
     p_ingest.add_argument("--store", action="store_true",
                           help="also write a fused table store next to the archive")
     p_ingest.add_argument("--out", help="output directory")
-    p_ingest.add_argument("--config", help="config file (falls back to $CHRONOFUSE_CONFIG)")
-    p_ingest.set_defaults(handler=cmd_ingest)
 
-    p_render = sub.add_parser("render", help="render a chart for one device")
-    _chart_args(p_render)
+    p_render = sub.add_parser("render", parents=[source, chart, common],
+                              help="render a chart for one device")
     p_render.add_argument("--device", choices=[d.value for d in DeviceClass], default="monitor")
     p_render.add_argument("--out", help="output directory")
-    p_render.set_defaults(handler=cmd_render)
 
-    p_check = sub.add_parser("check", help="render for all devices, print diagnostics only")
-    _chart_args(p_check)
-    p_check.set_defaults(handler=cmd_check)
-
-    p_report = sub.add_parser("report", help="run the efficacy checklist probes")
-    p_report.add_argument("input", help="table store or observation archive")
-    p_report.add_argument("--granularity", choices=[g.value for g in Granularity])
-    p_report.add_argument("--config", help="config file (falls back to $CHRONOFUSE_CONFIG)")
-    p_report.set_defaults(handler=cmd_report)
+    sub.add_parser("check", parents=[source, chart, common],
+                   help="render for all devices, print diagnostics only")
+    sub.add_parser("report", parents=[source, common], help="run the efficacy checklist probes")
     return parser
 
 
-def _chart_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", help="table store or observation archive")
-    parser.add_argument("--kind", choices=_KINDS, default="line")
-    parser.add_argument("--metrics", help="comma-separated metric names (default: all)")
-    parser.add_argument("--from", dest="time_from", help="range start (accepted timestamp format)")
-    parser.add_argument("--to", dest="time_to", help="range end")
-    parser.add_argument("--granularity", choices=[g.value for g in Granularity],
-                        help="bucket size when fusing an observation archive")
-    parser.add_argument("--config", help="config file (falls back to $CHRONOFUSE_CONFIG)")
-
-
 def _load_effective_config(args) -> Config:
-    config = load_config(getattr(args, "config", None))
-    if getattr(args, "granularity", None):
+    config = load_config(args.config)
+    if args.granularity:
         config.granularity = Granularity(args.granularity)
     if getattr(args, "lexicon", None):
-        lexicon_path = Path(args.lexicon)
-        config.lexicon_path = lexicon_path
+        config.lexicon_path = Path(args.lexicon)
     if getattr(args, "out", None):
         config.out_dir = Path(args.out)
     return config
@@ -137,8 +127,7 @@ def _load_effective_config(args) -> Config:
 def cmd_ingest(args) -> int:
     config = _load_effective_config(args)
     if config.lexicon_path is None:
-        print("error: no lexicon given (use --lexicon or a config file)", file=sys.stderr)
-        return 2
+        raise ConfigError("no lexicon given (use --lexicon or a config file)")
     lexicon = load_lexicon(config.lexicon_path)
 
     docs = [load_report(path) for path in args.reports]
@@ -175,31 +164,21 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _sniff(path: str | Path) -> str:
-    path = Path(path)
-    try:
-        with path.open(encoding="utf-8") as handle:
-            first = handle.readline().strip()
-    except OSError as exc:
-        raise MalformedStore(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedStore(f"{path} is not a chronofuse text file") from exc
+def _load_input_table(path: str, config: Config) -> TemporalTable:
+    first = read_text(Path(path), MalformedStore, "input file").partition("\n")[0].strip()
     if first.startswith(STORE_MAGIC):
-        return "table"
-    if first.startswith(ARCHIVE_MAGIC):
-        return "archive"
-    raise MalformedStore(f"{path} is neither a table store nor an observation archive")
-
-
-def _load_input_table(path: str | Path, config: Config) -> TemporalTable:
-    if _sniff(path) == "table":
         return load_table(path)
+    if not first.startswith(ARCHIVE_MAGIC):
+        raise MalformedStore(f"{path} is neither a table store nor an observation archive")
     observations, ranges = load_observations(path)
     table, _ = fuse(observations, config.granularity, ranges=ranges)
     return table
 
 
-def _build_spec(args, config: Config, table: TemporalTable) -> ChartSpec:
+def _build_spec(args) -> tuple[Config, ChartSpec]:
+    """The effective config and the chart that the chart flags ask for from `args.input`."""
+    config = _load_effective_config(args)
+    table = _load_input_table(args.input, config)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()] if args.metrics else None
     time_range = None
     if args.time_from or args.time_to:
@@ -214,7 +193,7 @@ def _build_spec(args, config: Config, table: TemporalTable) -> ChartSpec:
         "radial": build_radial_chart,
         "radial-bar": build_radial_bar_chart,
     }
-    return builders[args.kind](
+    return config, builders[args.kind](
         table,
         metrics=metrics,
         time_range=time_range,
@@ -223,14 +202,15 @@ def _build_spec(args, config: Config, table: TemporalTable) -> ChartSpec:
     )
 
 
-def cmd_render(args) -> int:
-    config = _load_effective_config(args)
-    table = _load_input_table(args.input, config)
-    spec = _build_spec(args, config, table)
-    device = DeviceClass(args.device)
+def _render(spec: ChartSpec, config: Config, device: DeviceClass):
     profile = config.profile(device)
-    plan = select_layout(spec, profile)
-    rendered = render_svg(spec, plan, profile)
+    return profile, render_svg(spec, select_layout(spec, profile), profile)
+
+
+def cmd_render(args) -> int:
+    config, spec = _build_spec(args)
+    device = DeviceClass(args.device)
+    profile, rendered = _render(spec, config, device)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     svg_path = config.out_dir / f"{args.kind}-{device.value}.svg"
@@ -247,14 +227,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = _load_effective_config(args)
-    table = _load_input_table(args.input, config)
-    spec = _build_spec(args, config, table)
+    config, spec = _build_spec(args)
     all_passed = True
     for device in DeviceClass:
-        profile = config.profile(device)
-        plan = select_layout(spec, profile)
-        rendered = render_svg(spec, plan, profile)
+        profile, rendered = _render(spec, config, device)
         print(f"[{device.value}]")
         for line in legibility_report(rendered.diagnostics, profile).splitlines():
             print(f"  {line}")
@@ -268,7 +244,7 @@ def cmd_report(args) -> int:
     rows = [
         (FEATURE_MULTIVARIATE, len(table.columns) >= 2),
         (FEATURE_HIGHER_TIME, _probe_higher_time_series(table, config)),
-        (FEATURE_DEVICES, _probe_device_transparency(table, config)),
+        (FEATURE_DEVICES, _renders_legibly(table, config, DeviceClass)),
         (FEATURE_DETAILS, True),
         (FEATURE_DYNAMIC, _probe_dynamic_accumulation(table)),
     ]
@@ -289,14 +265,10 @@ def _probe_higher_time_series(table: TemporalTable, config: Config) -> bool:
     weekly = rebucket(table, Granularity.WEEK)
     if len(weekly.rows) < 52 or not weekly.columns:
         return False
-    return _renders_legibly(weekly, config, DeviceClass.MONITOR)
+    return _renders_legibly(weekly, config, [DeviceClass.MONITOR])
 
 
-def _probe_device_transparency(table: TemporalTable, config: Config) -> bool:
-    return all(_renders_legibly(table, config, device) for device in DeviceClass)
-
-
-def _renders_legibly(table: TemporalTable, config: Config, device: DeviceClass) -> bool:
+def _renders_legibly(table: TemporalTable, config: Config, devices) -> bool:
     if not table.columns or not table.rows:
         return False
     try:
@@ -305,11 +277,9 @@ def _renders_legibly(table: TemporalTable, config: Config, device: DeviceClass) 
             aggregator=config.aggregator,
             normalization=config.normalization,
         )
-        profile = config.profile(device)
-        rendered = render_svg(spec, select_layout(spec, profile), profile)
+        return all(_render(spec, config, device)[1].diagnostics.passed for device in devices)
     except ChronofuseError:
         return False
-    return rendered.diagnostics.passed
 
 
 def _probe_dynamic_accumulation(table: TemporalTable) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .charts import Normalization
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .ingest import DateOrder
 from .render import DEFAULT_PROFILES, DeviceClass, DeviceProfile
 from .temporal import Aggregator, Granularity
@@ -50,13 +50,7 @@ def load_config(path: str | Path | None = None) -> Config:
             return Config()
         path = env
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
-    return parse_config(text, base_dir=path.parent)
+    return parse_config(read_text(path, ConfigError, "config file"), base_dir=path.parent)
 
 
 def parse_config(text: str, base_dir: Path | None = None) -> Config:

@@ -9,6 +9,16 @@ class ChronofuseError(Exception):
     """Base class for all chronofuse errors."""
 
 
+def read_text(path, error: type[ChronofuseError], what: str) -> str:
+    """The UTF-8 text of the file at `path` (a Path); `what` names it in the `error` raised."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not valid UTF-8: {exc}") from exc
+
+
 # --- ingest ---
 
 class ReportReadError(ChronofuseError):

@@ -22,6 +22,7 @@ from .errors import (
     NoTimestampInDocument,
     ReportReadError,
     UnknownFormat,
+    read_text,
 )
 
 FLAG_UNIT_MISMATCH = "unit_mismatch"
@@ -103,8 +104,9 @@ class RefRange:
     unit: str = ""
 
     def __post_init__(self):
-        if not self.low < self.high:
-            raise ValueError(f"reference range requires low < high, got {self.low}..{self.high}")
+        if not -math.inf < self.low < self.high < math.inf:
+            raise ValueError(
+                f"reference range requires finite low < high, got {self.low}..{self.high}")
 
     def contains(self, value: float) -> bool:
         return self.low <= value <= self.high
@@ -224,18 +226,10 @@ def load_report(path: str | Path, format_hint: ReportFormat | None = None) -> Re
         fmt = _EXTENSIONS.get(path.suffix.lower())
         if fmt is None:
             raise UnknownFormat(f"cannot infer report format from {path.name!r}; pass a format hint")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise ReportReadError(f"report file not found: {path}") from exc
-    except OSError as exc:
-        raise ReportReadError(f"cannot read report file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ReportReadError(f"report file {path} is not valid UTF-8: {exc}") from exc
     return ReportDocument(
         report_id=report_id_for(path),
         source_path=str(path),
-        lines=text.splitlines(),
+        lines=read_text(path, ReportReadError, "report file").splitlines(),
         format=fmt,
     )
 
@@ -593,10 +587,7 @@ def _pipe_records(lines: list[str]):
 def load_lexicon(path: str | Path) -> MetricLexicon:
     """Parse a lexicon file. Raises InvalidLexicon on any grammar violation."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidLexicon(f"cannot read lexicon file {path}: {exc}") from exc
+    text = read_text(path, InvalidLexicon, "lexicon file")
     entries: list[LexiconEntry] = []
     for lineno, parts in _pipe_records(text.splitlines()):
         if len(parts) != 4:

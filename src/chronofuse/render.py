@@ -37,6 +37,7 @@ THINNING_ROUNDS = 3      # halve the tick labels at most this many times
 CHAR_W = 0.6             # estimated glyph width as a fraction of font size
 LABEL_GAP = 6.0
 CELL_PX = 4.0            # occupancy grid resolution for the blank-space check
+MAX_PROFILE_SIZE = 16384  # above every real display; bounds the legibility grid and font search
 
 # Abstract chart boxes (chart units). Data is mapped into the box with the
 # chart's own axes; the box is then scaled uniformly into the panel, which
@@ -74,8 +75,9 @@ class DeviceProfile:
 
     def __post_init__(self):
         sizes = (self.width_px, self.height_px, self.dpi, self.min_font_px)
-        if not all(math.isfinite(n) and n > 0 for n in sizes):
-            raise ValueError("profile dimensions, dpi, and min font must be positive and finite")
+        if not all(0 < n <= MAX_PROFILE_SIZE for n in sizes):
+            raise ValueError(f"profile dimensions, dpi, and min font must be finite and in "
+                             f"(0, {MAX_PROFILE_SIZE}]")
         if not 0 < self.max_blank_ratio <= 1:
             raise ValueError("max_blank_ratio must be in (0, 1]")
 

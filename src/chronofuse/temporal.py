@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteValue,
     UnitConflict,
     VersionMismatch,
+    read_text,
 )
 from .ingest import _RESERVED_NAME_CHARS, Observation, RefRange, TimePoint
 
@@ -472,10 +473,7 @@ class _Cursor:
     def open(cls, path: str | Path, magic: str, version: int, what: str) -> _Cursor:
         """Read a file and check its `<magic> <version>` line; `what` names the format."""
         path = Path(path)
-        try:
-            cursor = cls(path.read_text(encoding="utf-8"), path.name)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise MalformedStore(f"cannot read {what} {path}: {exc}") from exc
+        cursor = cls(read_text(path, MalformedStore, what), path.name)
         parts = cursor.next().split()
         if len(parts) != 2 or parts[0] != magic:
             raise MalformedStore(f"{path.name}: not a chronofuse {what}")

@@ -351,6 +351,28 @@ def test_config_file_that_is_not_utf8_exits_2(tmp_path, store_path, capsys):
     assert "error: ConfigError:" in err and "not valid UTF-8" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("case", ["missing report", "no lexicon", "lexicon not UTF-8",
+                                  "missing input", "input not UTF-8"])
+def test_unreadable_inputs_exit_2_with_a_named_error(tmp_path, corpus_args, lexicon_arg, capsys,
+                                                     case):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"chronofuse-table 1\n\xff\n")
+    missing = tmp_path / "gone.txt"
+    argv, expected = {
+        "missing report": (["ingest", str(missing), "--lexicon", lexicon_arg],
+                           f"ReportReadError: cannot read report file {missing}: [Errno 2]"),
+        "no lexicon": (["ingest", *corpus_args], "ConfigError: no lexicon given"),
+        "lexicon not UTF-8": (["ingest", *corpus_args, "--lexicon", str(bad)],
+                              f"InvalidLexicon: lexicon file {bad} is not valid UTF-8"),
+        "missing input": (["render", str(missing)],
+                          f"MalformedStore: cannot read input file {missing}: [Errno 2]"),
+        "input not UTF-8": (["render", str(bad)],
+                            f"MalformedStore: input file {bad} is not valid UTF-8"),
+    }[case]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {expected}")
+
+
 # --- device profiles ---
 
 
@@ -358,6 +380,15 @@ def test_config_file_that_is_not_utf8_exits_2(tmp_path, store_path, capsys):
 def test_config_rejects_non_finite_profile_fields(value):
     with pytest.raises(ConfigError, match="finite"):
         parse_config(f"monitor.width_px = {value}\n")
+
+
+@pytest.mark.parametrize("field", ["width_px", "height_px", "dpi", "min_font_px"])
+def test_config_bounds_profile_sizes_at_16384(field):
+    # the legibility grid's memory grows with the area and the font search with the font
+    assert getattr(parse_config(f"monitor.{field} = 16384\n").profile(DeviceClass.MONITOR),
+                   field) == 16384.0
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(f"monitor.{field} = 100000\n")
 
 
 def test_config_accepts_every_profile_field():

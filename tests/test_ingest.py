@@ -384,6 +384,15 @@ def test_lexicon_range_bound_too_long_for_a_float_is_invalid(tmp_path):
         load_lexicon(path)
 
 
+@pytest.mark.parametrize("low, high", [
+    (0.0, float("inf")), (float("-inf"), 0.0), (float("nan"), 1.0), (0.0, float("nan")),
+])
+def test_reference_range_refuses_non_finite_bounds(low, high):
+    # the savers would write such a range and the loaders refuse it
+    with pytest.raises(ValueError, match="requires finite low < high"):
+        RefRange(low, high)
+
+
 def test_csv_field_over_the_csv_limit_is_a_report_read_error():
     lex = make_lexicon(GLUCOSE)
     document = doc(
