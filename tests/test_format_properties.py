@@ -210,3 +210,56 @@ def test_loaders_raise_only_chronofuse_errors_on_one_mutated_line(kind, data):
     at = data.draw(st.integers(0, len(lines) - 1))
     lines[at:at + 1] = data.draw(mutated_line(lines[at]))
     loads_or_names_its_error(kind, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+# --- load_table remembers the rows of the last store it loaded ---
+
+
+def load_outcome(data: bytes):
+    """The table load_table reads from `data`, or the class and message of its error."""
+    try:
+        return reloaded(load_table, data)
+    except ChronofuseError as exc:
+        return type(exc), str(exc)
+
+
+def _unrelated_store() -> bytes:
+    """The fixture reports fused by day: no row line in common with VALID["store"]."""
+    observations, ranges = reloaded(load_observations, VALID["archive"].encode("utf-8"))
+    return saved(save_table, fuse(observations, Granularity.DAY, ranges=ranges)[0])
+
+
+UNRELATED_STORE = _unrelated_store()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_store_loads_the_same_whatever_was_loaded_before(data):
+    lines = VALID["store"].splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at:at + 1] = data.draw(mutated_line(lines[at]))
+    mutated = ("\n".join(lines) + "\n").encode("utf-8")
+    outcomes = []
+    for before in (VALID["store"].encode("utf-8"), UNRELATED_STORE, mutated):
+        load_outcome(before)
+        outcomes.append(load_outcome(mutated))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+
+
+def test_row_lines_loaded_by_week_are_checked_again_by_month():
+    weekly = VALID["store"].encode("utf-8")
+    assert reloaded(load_table, weekly).granularity is Granularity.WEEK
+    monthly = weekly.replace(b"granularity week", b"granularity month")
+    with pytest.raises(ChronofuseError, match=r"file.txt:8: slice start .* not aligned to month"):
+        reloaded(load_table, monthly)
+
+
+def test_changing_a_loaded_table_does_not_change_the_next_load(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text(VALID["store"], encoding="utf-8")
+    first = load_table(path)
+    for row in first.rows.values():
+        row.clear()
+    first.rows.clear()
+    assert saved(save_table, load_table(path)) == path.read_bytes()
