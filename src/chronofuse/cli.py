@@ -22,7 +22,14 @@ from .charts import (
     build_radial_chart,
 )
 from .config import Config, load_config
-from .errors import ChronofuseError, ConfigError, DuplicateReport, MalformedStore, read_text
+from .errors import (
+    ChronofuseError,
+    ConfigError,
+    DuplicateReport,
+    MalformedStore,
+    OutputWriteError,
+    read_text,
+)
 from .ingest import (
     Observation,
     TimePoint,
@@ -149,7 +156,7 @@ def cmd_ingest(args) -> int:
         for warning in warnings:
             print(f"  warning: {warning}")
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(config.out_dir)
     archive_path = config.out_dir / ARCHIVE_NAME
     save_observations(all_observations, archive_path, ranges=lexicon.ranges())
     print(f"wrote {archive_path} ({len(all_observations)} observation(s), "
@@ -162,6 +169,13 @@ def cmd_ingest(args) -> int:
         for warning in fuse_warnings:
             print(f"  note: {warning}")
     return 0
+
+
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputWriteError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
 
 
 def _load_input_table(path: str, config: Config) -> TemporalTable:
@@ -212,7 +226,7 @@ def cmd_render(args) -> int:
     device = DeviceClass(args.device)
     profile, rendered = _render(spec, config, device)
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(config.out_dir)
     svg_path = config.out_dir / f"{args.kind}-{device.value}.svg"
     diag_path = config.out_dir / f"{args.kind}-{device.value}-diagnostics.txt"
     atomic_write_text(svg_path, rendered.svg)

@@ -19,6 +19,10 @@ def read_text(path, error: type[ChronofuseError], what: str) -> str:
         raise error(f"{what} {path} is not valid UTF-8: {exc}") from exc
 
 
+class OutputWriteError(ChronofuseError, OSError):
+    """An output file or directory cannot be written; the message names its path."""
+
+
 # --- ingest ---
 
 class ReportReadError(ChronofuseError):

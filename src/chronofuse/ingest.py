@@ -65,7 +65,7 @@ _EXTENSIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimePoint:
     """A calendar date, optionally refined to a minute of the day."""
 

@@ -13,6 +13,7 @@ import contextlib
 import datetime as dt
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -25,6 +26,7 @@ from .errors import (
     InvertedRange,
     MalformedStore,
     NonFiniteValue,
+    OutputWriteError,
     UnitConflict,
     VersionMismatch,
     read_text,
@@ -48,7 +50,7 @@ class Aggregator(str, Enum):
     LAST = "last"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeSlice:
     """A fixed-granularity time bucket; start is aligned to the bucket."""
 
@@ -77,13 +79,13 @@ class TimeSlice:
         return dt.date(d.year, d.month + 1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellEntry:
     value: float
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """All values observed for one metric in one slice, source-tagged.
 
@@ -428,33 +430,57 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+# (granularity, row text -> (slice, cells)) of the last store load_table read in full
+_parsed_rows: tuple[Granularity | None, dict[str, tuple[TimeSlice, dict[str, Cell]]]] = (None, {})
+
+
 def load_table(path: str | Path) -> TemporalTable:
     """Read a store file back into a table.
 
     Raises VersionMismatch for unsupported schema versions and
     MalformedStore for anything else that deviates from the grammar,
     including truncation (a missing `end` sentinel).
+
+    The parsed rows of the last store loaded are kept, keyed by their exact
+    text and the granularity, so reloading a store after an append parses
+    only the new or changed rows. Every check that depends on the rest of
+    the file (col records, col source sets, row order) runs on every row.
     """
+    global _parsed_rows
     cursor = _Cursor.open(path, STORE_MAGIC, STORE_VERSION, "table store")
     granularity = cursor.parse(Granularity, cursor.expect_field("granularity"), "granularity")
     columns = tuple(_parse_column(fields, cursor) for fields in cursor.records("columns", "col", 5))
     sources: dict[str, set[str]] = {column.metric: set() for column in columns}
+    known_granularity, known = _parsed_rows
+    if known_granularity is not granularity:
+        known = {}
+    parsed: dict[str, tuple[TimeSlice, dict[str, Cell]]] = {}
     rows: dict[TimeSlice, dict[str, Cell]] = {}
     previous: dt.date | None = None
-    for fields in cursor.records("rows", "row"):
-        ts, row = _parse_row(fields, granularity, sources, cursor)
+    for _ in range(cursor.expect_count("rows")):
+        text = cursor.expect_field("row")
+        parsed_row = known.get(text)
+        if parsed_row is None:
+            parsed_row = _parse_row(text.split("|"), granularity, sources, cursor)
+        else:  # a known line: check and gather what _parse_row would against this file
+            for metric, cell in parsed_row[1].items():
+                cell_sources = _column_sources(sources, metric, cursor)
+                for entry in cell.entries:
+                    cell_sources.add(entry.source)
+        ts, row = parsed[text] = parsed_row
         # add_report re-sorts only the rows it touches, so loaded rows must be canonical
         if previous is not None and ts.start_date <= previous:
             if ts.start_date == previous:
                 cursor.fail(f"duplicate row for slice {previous.isoformat()}")
             cursor.fail(f"row {ts.start_date.isoformat()} comes after row {previous.isoformat()}")
         previous = ts.start_date
-        rows[ts] = row
+        rows[ts] = dict(row)  # the caller may change its rows; the kept ones stay as parsed
     for column in columns:
         if column.source_reports != sources[column.metric]:
             cursor.fail(f"col {column.metric!r} names sources {sorted(column.source_reports)}, "
                         f"its cells come from {sorted(sources[column.metric])}")
     cursor.end()
+    _parsed_rows = (granularity, parsed)  # replaced whole, so a concurrent load sees old or new
     return TemporalTable(granularity=granularity, columns=columns, rows=rows)
 
 
@@ -512,11 +538,11 @@ class _Cursor:
             self.fail(f"expected integer {key} count, got {value!r}")
         return int(value)
 
-    def records(self, count_key: str, key: str, n_fields: int | None = None) -> Iterator[list[str]]:
+    def records(self, count_key: str, key: str, n_fields: int) -> Iterator[list[str]]:
         """The `|`-split bodies of the `key` records counted by the `count_key` line."""
         for _ in range(self.expect_count(count_key)):
             fields = self.expect_field(key).split("|")
-            if n_fields is not None and len(fields) != n_fields:
+            if len(fields) != n_fields:
                 self.fail(f"{key} record needs {n_fields} fields, got {len(fields)}")
             yield fields
 
@@ -551,9 +577,7 @@ def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, se
             if metric == previous:
                 cursor.fail(f"duplicate cell for metric {metric!r}")
             cursor.fail(f"cell for metric {metric!r} comes after {previous!r}")
-        cell_sources = sources.get(metric)
-        if cell_sources is None:
-            cursor.fail(f"cell for metric {metric!r} has no col record")
+        cell_sources = _column_sources(sources, metric, cursor)
         previous = metric
         entries = []
         for entry_text in entries_text.split(";"):
@@ -561,13 +585,21 @@ def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, se
             value = _finite_float(value_text, "cell value", cursor)
             if not sep2 or not source:
                 cursor.fail(f"bad cell entry {entry_text!r}")
-            entry = CellEntry(value, source)
+            # one string per report id, however many rows are kept
+            entry = CellEntry(value, sys.intern(source))
             if entries and _entry_order(entry) < _entry_order(entries[-1]):
                 cursor.fail(f"cell entries for metric {metric!r} are not sorted by (source, value, sign)")
             entries.append(entry)
             cell_sources.add(source)
         row[metric] = Cell(tuple(entries))
     return ts, row
+
+
+def _column_sources(sources: dict[str, set[str]], metric: str, cursor: _Cursor) -> set[str]:
+    known = sources.get(metric)
+    if known is None:
+        cursor.fail(f"cell for metric {metric!r} has no col record")
+    return known
 
 
 def _parse_range(text: str, unit: str, cursor: _Cursor) -> RefRange:
@@ -622,9 +654,11 @@ def save_observations(
             _writable_token(token, what)
         lines.append(f"range {metric}|{rng.low!r}..{rng.high!r}|{rng.unit}")
     lines.append(f"observations {len(observations)}")
+    writable: set[str] = set()  # a handful of names repeat over every observation
     for obs in observations:
         for token, what in ((obs.source, "report id"), (obs.metric, "metric"), (obs.unit, "unit")):
-            _writable_token(token, what)
+            if token not in writable:
+                writable.add(_writable_token(token, what))
         _check_finite(obs)  # load_observations rejects non-finite values
         flags = ",".join(sorted(obs.flags))
         lines.append(
@@ -668,18 +702,22 @@ def atomic_write_text(path: Path, text: str) -> None:
 
     The temp file gets a unique name in the target's directory, so two
     writers never share it, and it is removed if the write fails. The file
-    gets the mode a plain write would give it (0666 less the umask).
+    gets the mode a plain write would give it (0666 less the umask). An
+    OSError becomes an OutputWriteError that names `path`.
     """
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.chmod(tmp, 0o666 & ~_umask())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.chmod(tmp, 0o666 & ~_umask())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputWriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _umask() -> int:

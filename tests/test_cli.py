@@ -373,6 +373,24 @@ def test_unreadable_inputs_exit_2_with_a_named_error(tmp_path, corpus_args, lexi
     assert capsys.readouterr().err.startswith(f"error: {expected}")
 
 
+def test_render_to_an_out_that_is_a_file_exits_2_with_a_named_error(tmp_path, store_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    assert main(["render", str(store_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: OutputWriteError: cannot create output directory {out}: ")
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_ingest_to_an_out_that_is_a_file_exits_2_with_a_named_error(tmp_path, lexicon_arg,
+                                                                    corpus_args, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    assert main(["ingest", *corpus_args, "--lexicon", lexicon_arg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: OutputWriteError: cannot create output directory {out}: ")
+
+
 # --- device profiles ---
 
 

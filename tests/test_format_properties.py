@@ -3,12 +3,15 @@
 Every table and archive that the savers write loads back equal and
 re-saves to the same bytes, and the four loaders raise nothing but
 ChronofuseError on arbitrary text or on a valid file with one line
-mutated.
+mutated. What load_table returns for a file does not depend on the store
+it loaded before.
 """
 
 import datetime as dt
 import string
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -31,7 +34,7 @@ from chronofuse import (
     spec_from_text,
     spec_to_text,
 )
-from chronofuse.errors import ChronofuseError
+from chronofuse.errors import ChronofuseError, MalformedStore
 from chronofuse.ingest import FLAG_OUT_OF_RANGE, FLAG_UNIT_MISMATCH, RefRange
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -247,6 +250,38 @@ def test_store_loads_the_same_whatever_was_loaded_before(data):
     assert outcomes[2] == outcomes[0]
 
 
+def _swap_first_rows(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("row "))
+    lines[first:first + 2] = lines[first + 1], lines[first]
+    return "".join(lines)
+
+
+# Stores whose row lines are all valid on their own but fail a check across lines.
+ACROSS_LINES = {
+    "cells without a col record": lambda text: text.replace("col creatinine|", "col creatinina|"),
+    "col names a source no cell has": lambda text: text.replace(
+        "|report_b.csv\n", "|report_a.txt,report_b.csv\n", 1),
+    "col misses a source of its cells": lambda text: text.replace(
+        "|report_a.txt,report_b.csv\n", "|report_b.csv\n", 1),
+    "rows out of order": _swap_first_rows,
+    "duplicate row": lambda text: text.replace("row ", "row 2021-01-04|hba1c=5.6@report_a.txt\nrow ", 1)
+    .replace("rows 60", "rows 61"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACROSS_LINES))
+def test_known_row_lines_still_meet_the_checks_across_lines(case):
+    mutated = ACROSS_LINES[case](VALID["store"]).encode("utf-8")
+    assert mutated != VALID["store"].encode("utf-8")
+    outcomes = []
+    for before in (UNRELATED_STORE, VALID["store"].encode("utf-8")):
+        load_outcome(before)
+        outcomes.append(load_outcome(mutated))
+    assert outcomes[0][0] is MalformedStore
+    assert outcomes[1] == outcomes[0]
+
+
 def test_row_lines_loaded_by_week_are_checked_again_by_month():
     weekly = VALID["store"].encode("utf-8")
     assert reloaded(load_table, weekly).granularity is Granularity.WEEK
@@ -263,3 +298,30 @@ def test_changing_a_loaded_table_does_not_change_the_next_load(tmp_path):
         row.clear()
     first.rows.clear()
     assert saved(save_table, load_table(path)) == path.read_bytes()
+
+
+def test_loads_in_threads_get_their_own_store():
+    weekly = VALID["store"].encode("utf-8")
+    # the same row lines under two granularities: a slice of one must not reach the other
+    stores = [weekly, weekly.replace(b"granularity week", b"granularity day")]
+    expected = [load_outcome(data) for data in stores]
+    wrong = []
+
+    def load_each(offset):
+        for i in range(20):
+            k = (i + offset) % 2
+            if load_outcome(stores[k]) != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load_each, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

@@ -1,6 +1,7 @@
 import datetime as dt
 import os
 import random
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +33,7 @@ from chronofuse.errors import (
     InvertedRange,
     MalformedStore,
     NonFiniteValue,
+    OutputWriteError,
     UnitConflict,
     VersionMismatch,
 )
@@ -622,6 +624,15 @@ def test_failed_save_leaves_no_temp_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         save_table(table, tmp_path / "t.txt")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_save_onto_a_directory_names_the_path_and_leaves_no_temp_file(tmp_path, weekly_table):
+    target = tmp_path / "t.txt"
+    target.mkdir()
+    with pytest.raises(OutputWriteError, match=f"cannot write {re.escape(str(target))}: "):
+        save_table(weekly_table, target)
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
