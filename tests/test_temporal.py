@@ -14,6 +14,7 @@ from chronofuse import (
     Aggregator,
     Cell,
     CellEntry,
+    ColumnDescriptor,
     Granularity,
     TimePoint,
     add_report,
@@ -600,6 +601,97 @@ def test_fusion_saves_the_same_bytes_in_any_order(case, rng):
     assert store_bytes(fuse(observations, granularity)[0]) == expected
     daily, _ = fuse(observations, Granularity.DAY)
     assert store_bytes(rebucket(daily, granularity)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(base_and_additions(), st.data())
+def test_appends_through_the_store_save_the_same_bytes_as_one_fuse(case, data):
+    granularity, base, additions = case
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(additions)), max_size=3)))
+    batches = [additions[i:j] for i, j in zip([0, *cuts], [*cuts, len(additions)])]
+    # the same slices with every value negated: other cells, and 0.0 wherever an append has -0.0
+    negated = [replace(o, value=-o.value) for o in base + additions]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, other = Path(tmp) / "table.txt", Path(tmp) / "other.txt"
+        save_table(fuse(base, granularity, ranges=RANGES)[0], path)
+        save_table(fuse(negated, granularity)[0], other)
+        table = load_table(path)
+        fused = list(base)
+        for batch in batches:
+            if data.draw(st.booleans(), label="unrelated store in between"):
+                save_table(load_table(other), other)
+            if data.draw(st.booleans(), label="reload"):
+                table = load_table(path)
+            table = add_report(table, batch, ranges=RANGES)
+            save_table(table, path)
+            fused += batch
+            assert path.read_bytes() == store_bytes(fuse(fused, granularity, ranges=RANGES)[0])
+
+
+def test_saving_a_loaded_store_writes_canonical_values(tmp_path):
+    path = write_store(tmp_path, ["2021-01-01|a=1.50@r1;+2.0@r2|b=1_0@r1", "2021-01-02|a= 3.0@r1"])
+    canonical = STORE_HEAD + "rows 2\nrow 2021-01-01|a=1.5@r1;2.0@r2|b=10.0@r1\nrow 2021-01-02|a=3.0@r1\nend\n"
+    written = tmp_path / "saved.txt"
+    for _ in range(2):
+        table = load_table(path)
+        for _ in range(2):
+            save_table(table, written)
+            assert written.read_text(encoding="utf-8") == canonical
+
+
+def test_a_negative_zero_cell_replacing_an_equal_loaded_one_is_saved(tmp_path):
+    path = write_store(tmp_path, ["2021-01-01|a=0.0@r1;1.0@r2|b=0.0@r1"])
+    table = load_table(path)
+    save_table(table, path)
+    row = next(iter(table.rows.values()))
+    row["b"] = Cell((CellEntry(-0.0, "r1"),))
+    assert row["b"] == Cell((CellEntry(0.0, "r1"),))
+    save_table(table, path)
+    assert "row 2021-01-01|a=0.0@r1;1.0@r2|b=-0.0@r1\n" in path.read_text(encoding="utf-8")
+
+
+EDITS = {
+    "replace": (lambda row: row.__setitem__("a", Cell((CellEntry(5.0, "r1"),))),
+                "row 2021-01-01|a=5.0@r1|b=3.0@r1\n"),
+    "add": (lambda row: row.__setitem__("b", Cell((CellEntry(4.0, "r1"),))),
+            "row 2021-01-02|a=2.0@r2|b=4.0@r1\n"),
+    "delete": (lambda row: row.pop("b"), "row 2021-01-01|a=1.0@r1\n"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_editing_a_loaded_row_shows_in_the_next_save(tmp_path, edit):
+    change, line = EDITS[edit]
+    path = write_store(tmp_path, ["2021-01-01|a=1.0@r1|b=3.0@r1", "2021-01-02|a=2.0@r2",
+                                  "2021-01-03|a=6.0@r1|b=7.0@r1"])
+    table = load_table(path)
+    save_table(table, path)
+    row = table.rows[next(ts for ts in table.rows if ts.start_date.isoformat() == line[4:14])]
+    change(row)
+    save_table(table, path)
+    assert line in path.read_text(encoding="utf-8")
+    assert load_table(path) == table
+
+
+def test_a_failed_save_does_not_change_the_next_one(tmp_path):
+    rows = ["2021-01-01|a=1.0@r1;2.0@r2|b=3.0@r1", "2021-01-02|a=-0.0@r1"]
+    path = write_store(tmp_path, rows)
+    expected = path.read_bytes()
+    table = load_table(path)
+    reserved = replace(table, columns=(*table.columns, ColumnDescriptor("c|d")))
+    with pytest.raises(ValueError):
+        save_table(reserved, path)
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    with pytest.raises(OutputWriteError):
+        save_table(table, directory)
+    save_table(table, path)
+    assert path.read_bytes() == expected
+    with pytest.raises(OutputWriteError):
+        save_table(table, directory)
+    next(iter(table.rows.values()))["b"] = Cell((CellEntry(-0.0, "r1"),))
+    save_table(table, path)
+    assert path.read_bytes() == expected.replace(b"b=3.0@r1", b"b=-0.0@r1")
 
 
 def test_signed_zeros_from_one_source_save_negative_first():
