@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import datetime as dt
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -401,10 +402,18 @@ def _writable_token(text: str, what: str) -> str:
 
 
 def save_table(table: TemporalTable, path: str | Path) -> None:
-    """Write a table to its line-oriented store file (atomic replace)."""
+    """Write a table to its line-oriented store file (atomic replace).
+
+    Refuses a table whose store load_table would reject: NonFiniteValue for
+    a non-finite cell value, ValueError for anything else. A row whose cells
+    are the very objects that load_table remembers for its slice reuses the
+    line this function wrote for them before, so after a load only the rows
+    changed since are formatted.
+    """
     path = Path(path)
     lines = [f"{STORE_MAGIC} {STORE_VERSION}", f"granularity {table.granularity.value}"]
     lines.append(f"columns {len(table.columns)}")
+    sources: dict[str, frozenset[str]] = {}
     for column in table.columns:
         _writable_token(column.metric, "metric")
         _writable_token(column.unit, "unit")
@@ -417,21 +426,79 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
         if column.reference_range is not None:
             rng = f"{column.reference_range.low!r}..{column.reference_range.high!r}"
             rng_unit = _writable_token(column.reference_range.unit, "range unit")
-        sources = ",".join(sorted(column.source_reports))
-        lines.append(f"col {column.metric}|{column.unit}|{rng}|{rng_unit}|{sources}")
+        sources[column.metric] = column.source_reports
+        names = ",".join(sorted(column.source_reports))
+        lines.append(f"col {column.metric}|{column.unit}|{rng}|{rng_unit}|{names}")
     lines.append(f"rows {len(table.rows)}")
+    known_granularity, known_columns, known = _parsed_rows
+    # the loader checked the remembered cells against known_columns, so they hold here too
+    reusable = known_granularity is table.granularity and all(
+        c.metric in sources and c.source_reports <= sources[c.metric] for c in known_columns
+    )
+    remembered = iter(known.items() if reusable else ())  # in date order, like the rows
+    text, (known_ts, cells, written) = next(remembered, _NO_ROW)
+    previous: dt.date | None = None
     for ts, row in table.rows.items():
-        fields = [ts.start_date.isoformat()]
-        for metric in sorted(row):
-            entries = ";".join(f"{e.value!r}@{e.source}" for e in row[metric].entries)
-            fields.append(f"{metric}={entries}")
-        lines.append("row " + "|".join(fields))
+        day = ts.start.date
+        if ts.granularity is not table.granularity:
+            raise ValueError(f"slice {day} is a {ts.granularity.value} slice in a {table.granularity.value} table")
+        if previous is not None and day <= previous:
+            raise ValueError(f"row {day} comes after row {previous}")
+        previous = day
+        while known_ts is not None and known_ts.start.date < day:
+            text, (known_ts, cells, written) = next(remembered, _NO_ROW)
+        same = (known_ts is not None and known_ts.start.date == day and len(row) == len(cells)
+                and all(map(operator.is_, row, cells)) and all(map(operator.is_, row.values(), cells.values())))
+        if same and written:
+            line = text
+        else:
+            line = _row_text(day.isoformat(), row, sources)
+            if same and line == text:
+                known[text] = (known_ts, cells, True)  # one entry replaced whole
+        lines.append("row " + line)
     lines.append("end")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-# (granularity, row text -> (slice, cells)) of the last store load_table read in full
-_parsed_rows: tuple[Granularity | None, dict[str, tuple[TimeSlice, dict[str, Cell]]]] = (None, {})
+def _row_text(day: str, row: Mapping[str, Cell], sources: Mapping[str, frozenset[str]]) -> str:
+    """The body of a row record, refusing the cells load_table would reject."""
+    if not row:
+        raise ValueError(f"slice {day} has no cells")
+    fields = [day]
+    for metric in sorted(row):
+        column_sources = sources.get(metric)
+        if column_sources is None:
+            raise ValueError(f"slice {day} metric {metric!r} has no column")
+        texts = []
+        previous = None
+        for entry in row[metric].entries:
+            value, source = entry.value, entry.source
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"non-finite value for {metric} from {source} in slice {day}")
+            if source not in column_sources:
+                raise ValueError(f"slice {day} metric {metric!r} has report id {source!r}, "
+                                 f"which its column does not list")
+            # _entry_order, with the sign compared only between equal values
+            key = (source, value)
+            if previous is not None and key <= previous and (
+                key < previous or math.copysign(1.0, value) < math.copysign(1.0, previous[1])
+            ):
+                raise ValueError(f"slice {day} metric {metric!r} has cell entries not sorted by "
+                                 f"(source, value, sign)")
+            previous = key
+            texts.append(f"{value!r}@{source}")
+        fields.append(f"{metric}={';'.join(texts)}")
+    return "|".join(fields)
+
+
+# the last store load_table read in full: its granularity, its columns and, for each row
+# text, (slice, cells, written); written marks text that save_table wrote for these cells
+_parsed_rows: tuple[
+    Granularity | None,
+    tuple[ColumnDescriptor, ...],
+    dict[str, tuple[TimeSlice, dict[str, Cell], bool]],
+] = (None, (), {})
+_NO_ROW = (None, (None, None, False))
 
 
 def load_table(path: str | Path) -> TemporalTable:
@@ -451,10 +518,10 @@ def load_table(path: str | Path) -> TemporalTable:
     granularity = cursor.parse(Granularity, cursor.expect_field("granularity"), "granularity")
     columns = tuple(_parse_column(fields, cursor) for fields in cursor.records("columns", "col", 5))
     sources: dict[str, set[str]] = {column.metric: set() for column in columns}
-    known_granularity, known = _parsed_rows
+    known_granularity, _, known = _parsed_rows
     if known_granularity is not granularity:
         known = {}
-    parsed: dict[str, tuple[TimeSlice, dict[str, Cell]]] = {}
+    parsed: dict[str, tuple[TimeSlice, dict[str, Cell], bool]] = {}
     rows: dict[TimeSlice, dict[str, Cell]] = {}
     previous: dt.date | None = None
     for _ in range(cursor.expect_count("rows")):
@@ -467,7 +534,7 @@ def load_table(path: str | Path) -> TemporalTable:
                 cell_sources = _column_sources(sources, metric, cursor)
                 for entry in cell.entries:
                     cell_sources.add(entry.source)
-        ts, row = parsed[text] = parsed_row
+        ts, row, _ = parsed[text] = parsed_row
         # add_report re-sorts only the rows it touches, so loaded rows must be canonical
         if previous is not None and ts.start_date <= previous:
             if ts.start_date == previous:
@@ -480,7 +547,7 @@ def load_table(path: str | Path) -> TemporalTable:
             cursor.fail(f"col {column.metric!r} names sources {sorted(column.source_reports)}, "
                         f"its cells come from {sorted(sources[column.metric])}")
     cursor.end()
-    _parsed_rows = (granularity, parsed)  # replaced whole, so a concurrent load sees old or new
+    _parsed_rows = (granularity, columns, parsed)  # replaced whole, so a concurrent load sees old or new
     return TemporalTable(granularity=granularity, columns=columns, rows=rows)
 
 
@@ -559,7 +626,7 @@ def _parse_column(parts: list[str], cursor: _Cursor) -> ColumnDescriptor:
 
 
 def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, set[str]], cursor: _Cursor):
-    """Parse one row; adds each cell's sources to `sources`, keyed by the known metrics."""
+    """Parse one row into (slice, cells, not yet written); adds each cell's sources to `sources`."""
     start = cursor.parse(dt.date.fromisoformat, parts[0], "slice date")
     try:
         ts = TimeSlice(TimePoint.day(start), granularity)
@@ -592,7 +659,7 @@ def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, se
             entries.append(entry)
             cell_sources.add(source)
         row[metric] = Cell(tuple(entries))
-    return ts, row
+    return ts, row, False
 
 
 def _column_sources(sources: dict[str, set[str]], metric: str, cursor: _Cursor) -> set[str]:

@@ -16,6 +16,7 @@ from chronofuse import (
     CellEntry,
     ColumnDescriptor,
     Granularity,
+    TemporalTable,
     TimePoint,
     add_report,
     aggregate_cell,
@@ -793,3 +794,94 @@ def test_save_observations_refuses_what_load_observations_cannot_read(tmp_path, 
     with pytest.raises(ValueError):
         save_observations([observation], tmp_path / "o.txt", ranges=ranges)
     assert not (tmp_path / "o.txt").exists()
+
+
+# --- save_table refuses what load_table would reject ---
+
+
+def hand_table(rows, granularity=Granularity.DAY, columns=None):
+    """A table built without fuse: rows maps dates to {metric: [(value, source), ...]}.
+
+    `columns` maps each metric to its sources; by default, the sources of its cells.
+    """
+    built = {slice_for(tp(day), granularity): {metric: cell(*entries) for metric, entries in cells.items()}
+             for day, cells in rows.items()}
+    if columns is None:
+        columns = {}
+        for cells in rows.values():
+            for metric, entries in cells.items():
+                columns.setdefault(metric, set()).update(source for _, source in entries)
+    descriptors = tuple(ColumnDescriptor(metric, source_reports=frozenset(columns[metric]))
+                        for metric in sorted(columns))
+    return TemporalTable(granularity, descriptors, built)
+
+
+def assert_refused(tmp_path, table, error, message):
+    with pytest.raises(error, match=message):
+        save_table(table, tmp_path / "t.txt")
+    assert not (tmp_path / "t.txt").exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_save_table_refuses_a_non_finite_cell_value(tmp_path, bad):
+    table = hand_table({"2021-01-01": {"a": [(1.0, "r1")]}, "2021-01-02": {"a": [(bad, "r1")]}})
+    assert_refused(tmp_path, table, NonFiniteValue, r"non-finite value for a from r1 in slice 2021-01-02")
+
+
+@pytest.mark.parametrize("entries", [[(1.0, "r2"), (2.0, "r1")], [(2.0, "r1"), (1.0, "r1")],
+                                     [(0.0, "r1"), (-0.0, "r1")]], ids=["source", "value", "sign"])
+def test_save_table_refuses_cell_entries_out_of_canonical_order(tmp_path, entries):
+    table = hand_table({"2021-01-01": {"a": entries}})
+    assert_refused(tmp_path, table, ValueError, r"slice 2021-01-01 metric 'a' has cell entries not sorted")
+
+
+def test_save_table_refuses_a_row_without_cells(tmp_path):
+    table = hand_table({"2021-01-01": {"a": [(1.0, "r1")]}, "2021-01-02": {}})
+    assert_refused(tmp_path, table, ValueError, r"slice 2021-01-02 has no cells")
+
+
+def test_save_table_refuses_a_cell_source_its_column_does_not_list(tmp_path):
+    table = hand_table({"2021-01-01": {"a": [(1.0, "r1"), (2.0, "r2")]}}, columns={"a": {"r1"}})
+    assert_refused(tmp_path, table, ValueError, r"slice 2021-01-01 metric 'a' has report id 'r2'")
+
+
+def test_save_table_refuses_a_cell_without_a_column(tmp_path):
+    table = hand_table({"2021-01-01": {"a": [(1.0, "r1")], "b": [(2.0, "r1")]}}, columns={"a": {"r1"}})
+    assert_refused(tmp_path, table, ValueError, r"slice 2021-01-01 metric 'b' has no column")
+
+
+def test_save_table_refuses_rows_out_of_date_order(tmp_path):
+    table = hand_table({"2021-01-02": {"a": [(1.0, "r1")]}, "2021-01-01": {"a": [(2.0, "r1")]}})
+    assert_refused(tmp_path, table, ValueError, r"row 2021-01-01 comes after row 2021-01-02")
+
+
+def test_save_table_refuses_a_slice_of_another_granularity(tmp_path):
+    table = hand_table({"2021-01-04": {"a": [(1.0, "r1")]}}, Granularity.WEEK)
+    table.rows[slice_for(tp("2021-01-05"), Granularity.DAY)] = {"a": cell((2.0, "r1"))}
+    assert_refused(tmp_path, table, ValueError, r"slice 2021-01-05 is a day slice in a week table")
+
+
+def test_save_table_checks_the_rows_edited_since_the_load(tmp_path):
+    path = write_store(tmp_path, ["2021-01-01|a=1.0@r1;2.0@r2|b=3.0@r1", "2021-01-02|a=4.0@r1"])
+    before = path.read_bytes()
+    table = load_table(path)
+    save_table(table, path)
+    next(iter(table.rows.values()))["a"] = cell((2.0, "r2"), (1.0, "r1"))
+    with pytest.raises(ValueError, match=r"slice 2021-01-01 metric 'a' has cell entries not sorted"):
+        save_table(table, path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("columns, message", [
+    ((ColumnDescriptor("a", source_reports=frozenset({"r1"})), ColumnDescriptor("b", source_reports=frozenset({"r1"}))),
+     r"slice 2021-01-01 metric 'a' has report id 'r2'"),
+    ((ColumnDescriptor("a", source_reports=frozenset({"r1", "r2"})),), r"slice 2021-01-01 metric 'b' has no column"),
+], ids=["narrowed-sources", "dropped-column"])
+def test_save_table_checks_unchanged_loaded_rows_against_new_columns(tmp_path, columns, message):
+    path = write_store(tmp_path, ["2021-01-01|a=1.0@r1;2.0@r2|b=3.0@r1", "2021-01-02|a=4.0@r1"])
+    before = path.read_bytes()
+    table = load_table(path)
+    save_table(table, path)
+    with pytest.raises(ValueError, match=message):
+        save_table(replace(table, columns=columns), path)
+    assert path.read_bytes() == before
