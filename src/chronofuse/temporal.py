@@ -441,14 +441,16 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
     for ts, row in table.rows.items():
         day = ts.start.date
         if ts.granularity is not table.granularity:
-            raise ValueError(f"slice {day} is a {ts.granularity.value} slice in a {table.granularity.value} table")
+            raise ValueError(f"slice {day} is a {ts.granularity.value} slice "
+                             f"in a {table.granularity.value} table")
         if previous is not None and day <= previous:
             raise ValueError(f"row {day} comes after row {previous}")
         previous = day
         while known_ts is not None and known_ts.start.date < day:
             text, (known_ts, cells, written) = next(remembered, _NO_ROW)
         same = (known_ts is not None and known_ts.start.date == day and len(row) == len(cells)
-                and all(map(operator.is_, row, cells)) and all(map(operator.is_, row.values(), cells.values())))
+                and all(map(operator.is_, row, cells))  # the same metrics in the same order
+                and all(map(operator.is_, row.values(), cells.values())))  # not ==: 0.0 == -0.0
         if same and written:
             line = text
         else:
@@ -498,7 +500,7 @@ _parsed_rows: tuple[
     tuple[ColumnDescriptor, ...],
     dict[str, tuple[TimeSlice, dict[str, Cell], bool]],
 ] = (None, (), {})
-_NO_ROW = (None, (None, None, False))
+_NO_ROW = (None, (None, None, False))  # save_table's stand-in past the last remembered row
 
 
 def load_table(path: str | Path) -> TemporalTable:
@@ -512,6 +514,7 @@ def load_table(path: str | Path) -> TemporalTable:
     text and the granularity, so reloading a store after an append parses
     only the new or changed rows. Every check that depends on the rest of
     the file (col records, col source sets, row order) runs on every row.
+    save_table writes a kept row's text again while the row is unchanged.
     """
     global _parsed_rows
     cursor = _Cursor.open(path, STORE_MAGIC, STORE_VERSION, "table store")

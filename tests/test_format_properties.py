@@ -4,7 +4,7 @@ Every table and archive that the savers write loads back equal and
 re-saves to the same bytes, and the four loaders raise nothing but
 ChronofuseError on arbitrary text or on a valid file with one line
 mutated. What load_table returns for a file does not depend on the store
-it loaded before.
+it loaded before, and what save_table writes does not depend on it either.
 """
 
 import datetime as dt
@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronofuse import (
+    Cell,
+    CellEntry,
     Granularity,
     Observation,
     TimePoint,
@@ -317,6 +319,43 @@ def test_loads_in_threads_get_their_own_store():
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=load_each, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_saves_in_threads_write_their_own_table(tmp_path):
+    weekly = VALID["store"].encode("utf-8")
+    stores = [weekly, weekly.replace(b"granularity week", b"granularity day")]
+    for k, data in enumerate(stores):
+        (tmp_path / f"store{k}.txt").write_bytes(data)
+    # an edited first cell must be written as edited, whatever another thread marked
+    edited = [data.replace(b"creatinine=1.1@", b"creatinine=-0.0@", 1) for data in stores]
+    wrong = []
+
+    def save_each(offset):
+        out = tmp_path / f"out{offset}.txt"
+        for i in range(20):
+            k = (i + offset) % 2
+            table = load_table(tmp_path / f"store{k}.txt")
+            save_table(table, out)
+            if out.read_bytes() != stores[k]:
+                wrong.append(("saved", k))
+            first = next(iter(table.rows.values()))
+            first["creatinine"] = Cell((CellEntry(-0.0, "report_b.csv"),))
+            save_table(table, out)
+            if out.read_bytes() != edited[k]:
+                wrong.append(("edited", k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=save_each, args=(n,)) for n in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
