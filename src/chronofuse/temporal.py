@@ -404,8 +404,9 @@ def _writable_token(text: str, what: str) -> str:
 def save_table(table: TemporalTable, path: str | Path) -> None:
     """Write a table to its line-oriented store file (atomic replace).
 
-    Refuses a table whose store load_table would reject: NonFiniteValue for
-    a non-finite cell value, ValueError for anything else. A row whose cells
+    Refuses, before writing, a table whose store load_table would reject:
+    NonFiniteValue for a non-finite cell value, ValueError for anything else
+    but a column naming a report id that no cell has. A row whose cells
     are the very objects that load_table remembers for its slice reuses the
     line this function wrote for them before, so after a load only the rows
     changed since are formatted.
