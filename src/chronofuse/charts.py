@@ -22,7 +22,7 @@ from .errors import (
     UnknownMetric,
 )
 from .ingest import RefRange, TimePoint
-from .temporal import Aggregator, TemporalTable, _Cursor, aggregate_cell, slice_range
+from .temporal import Aggregator, TemporalTable, _Cursor, _items, aggregate_cell, slice_range
 
 __all__ = [
     "ChartKind",
@@ -288,63 +288,63 @@ def _build_chart(kind, table, metrics, time_range, aggregator, normalization) ->
 # --- textual serialization (documented field order, diffable goldens) ---
 
 
+def _ints_text(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _points_text(points) -> str:
+    return " ".join(f"{t!r}:{v!r}" for t, v in points)
+
+
+def _points(text: str) -> tuple[tuple[float, ...], ...]:
+    # split(" ") and not split(): two spaces or a trailing one are not what is written
+    return tuple(tuple(map(float, point.split(":"))) for point in text.split(" ")) if text else ()
+
+
+# The lines between the magic line and the series, as (key, ChartSpec field, writer,
+# reader). spec_to_text writes each field with its writer, and spec_from_text reads
+# a field only if the writer gives its text back, so only what spec_to_text writes parses.
+_FIELDS = (
+    ("kind", "kind", lambda kind: kind.value, ChartKind),
+    ("time_range", "time_range", "..".join, lambda text: text.partition("..")[::2]),
+    ("slots", "angular_slots", lambda slots: str(slots or 0), lambda text: int(text) or None),
+    ("labels", "slot_labels", ",".join, _items),
+    ("palette", "palette", _ints_text, lambda text: tuple(map(int, _items(text)))),
+)
+
+
 def spec_to_text(spec: ChartSpec) -> str:
     """Serialize a ChartSpec to its line-oriented text form."""
-    lines = [
-        f"{CHART_MAGIC} {CHART_VERSION}",
-        f"kind {spec.kind.value}",
-        f"time_range {spec.time_range[0]}..{spec.time_range[1]}",
-        f"slots {spec.angular_slots if spec.angular_slots is not None else 0}",
-        "labels " + ",".join(spec.slot_labels),
-        "palette " + ",".join(str(i) for i in spec.palette),
-        f"series {len(spec.series)}",
-    ]
+    lines = [f"{CHART_MAGIC} {CHART_VERSION}"]
+    lines += [f"{key} {write(getattr(spec, name))}" for key, name, write, _ in _FIELDS]
+    lines.append(f"series {len(spec.series)}")
     for s in spec.series:
-        outside = ",".join(str(i) for i in sorted(s.out_of_range))
-        points = " ".join(f"{t!r}:{v!r}" for t, v in s.points)
-        lines.append(f"s {s.metric}|{s.normalization.value}|{outside}|{points}")
+        outside = _ints_text(sorted(s.out_of_range))
+        lines.append(f"s {s.metric}|{s.normalization.value}|{outside}|{_points_text(s.points)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
 def spec_from_text(text: str) -> ChartSpec:
-    """Parse the output of spec_to_text. Raises MalformedStore on bad input."""
+    """Parse the output of spec_to_text. Raises MalformedStore on any other text."""
     cursor = _Cursor(text, "chart spec")
     magic = cursor.next()
     if magic != f"{CHART_MAGIC} {CHART_VERSION}":
         cursor.fail(f"not a chronofuse chart spec: {magic!r}")
-    kind = cursor.parse(ChartKind, cursor.expect_field("kind"), "kind")
-    start, _, end = cursor.expect_field("time_range").partition("..")
-    slots = cursor.expect_count("slots")
-    labels = tuple(x for x in cursor.expect_field("labels").split(",") if x)
-    palette = tuple(
-        cursor.parse(int, x, "palette index") for x in cursor.expect_field("palette").split(",") if x
-    )
+    fields = {name: cursor.parse(read, cursor.expect_field(key), key, write)
+              for key, name, write, read in _FIELDS}
     series = []
     for metric, norm_text, outside_text, points_text in cursor.records("series", "s", 4):
-        points = []
-        for point in points_text.split():
-            t_text, sep, v_text = point.partition(":")
-            if not sep:
-                cursor.fail(f"bad point {point!r}")
-            points.append((cursor.parse(float, t_text, "point"), cursor.parse(float, v_text, "point")))
-        normalization = cursor.parse(Normalization, norm_text, "normalization")
-        outside = frozenset(
-            cursor.parse(int, i, "out-of-range index") for i in outside_text.split(",") if i
-        )
+        normalization = cursor.parse(Normalization, norm_text, "normalization", lambda n: n.value)
+        outside = cursor.parse(lambda t: frozenset(map(int, _items(t))), outside_text,
+                               "out-of-range indices", lambda indices: _ints_text(sorted(indices)))
+        points = cursor.parse(_points, points_text, "points", _points_text)
         try:
-            series.append(Series(metric, tuple(points), normalization, outside))
+            series.append(Series(metric, points, normalization, outside))
         except ValueError as exc:
             cursor.fail(f"bad series: {exc}")
     cursor.end()
     try:
-        return ChartSpec(
-            kind=kind,
-            series=tuple(series),
-            time_range=(start, end),
-            slot_labels=labels,
-            palette=palette,
-            angular_slots=slots or None,
-        )
+        return ChartSpec(series=tuple(series), **fields)
     except ValueError as exc:
         cursor.fail(f"invalid spec: {exc}")

@@ -389,7 +389,8 @@ def aggregate_cell(cell: Cell, aggregator: Aggregator = Aggregator.MEAN) -> floa
 #   row <start ISO date>|<metric>=<value>@<source>[;<value>@<source>...]|...
 #   end
 #
-# Values are written with repr() so the round trip is bit exact.
+# Values are written with repr() so the round trip is bit exact. The loaders read each
+# token through its writer (_Cursor.parse), so it accepts only the form the savers write.
 
 
 def _writable_token(text: str, what: str) -> str:
@@ -406,10 +407,10 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
 
     Refuses, before writing, a table whose store load_table would reject:
     NonFiniteValue for a non-finite cell value, ValueError for anything else
-    but a column naming a report id that no cell has. A row whose cells
-    are the very objects that load_table remembers for its slice reuses the
-    line this function wrote for them before, so after a load only the rows
-    changed since are formatted.
+    but a column naming a report id that no cell has. A row whose cells are
+    the very objects that load_table remembers for its slice is written as
+    the line it was loaded from, which is the text formatting it would give,
+    so after a load only the rows changed since are formatted.
     """
     path = Path(path)
     lines = [f"{STORE_MAGIC} {STORE_VERSION}", f"granularity {table.granularity.value}"]
@@ -437,7 +438,7 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
         c.metric in sources and c.source_reports <= sources[c.metric] for c in known_columns
     )
     remembered = iter(known.items() if reusable else ())  # in date order, like the rows
-    text, (known_ts, cells, written) = next(remembered, _NO_ROW)
+    text, (known_ts, cells) = next(remembered, _NO_ROW)
     previous: dt.date | None = None
     for ts, row in table.rows.items():
         day = ts.start.date
@@ -448,17 +449,11 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
             raise ValueError(f"row {day} comes after row {previous}")
         previous = day
         while known_ts is not None and known_ts.start.date < day:
-            text, (known_ts, cells, written) = next(remembered, _NO_ROW)
+            text, (known_ts, cells) = next(remembered, _NO_ROW)
         same = (known_ts is not None and known_ts.start.date == day and len(row) == len(cells)
                 and all(map(operator.is_, row, cells))  # the same metrics in the same order
                 and all(map(operator.is_, row.values(), cells.values())))  # not ==: 0.0 == -0.0
-        if same and written:
-            line = text
-        else:
-            line = _row_text(day.isoformat(), row, sources)
-            if same and line == text:
-                known[text] = (known_ts, cells, True)  # one entry replaced whole
-        lines.append("row " + line)
+        lines.append("row " + (text if same else _row_text(day.isoformat(), row, sources)))
     lines.append("end")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -495,21 +490,21 @@ def _row_text(day: str, row: Mapping[str, Cell], sources: Mapping[str, frozenset
 
 
 # the last store load_table read in full: its granularity, its columns and, for each row
-# text, (slice, cells, written); written marks text that save_table wrote for these cells
+# text, the (slice, cells) it holds; the text is what save_table writes for those cells
 _parsed_rows: tuple[
     Granularity | None,
     tuple[ColumnDescriptor, ...],
-    dict[str, tuple[TimeSlice, dict[str, Cell], bool]],
+    dict[str, tuple[TimeSlice, dict[str, Cell]]],
 ] = (None, (), {})
-_NO_ROW = (None, (None, None, False))  # save_table's stand-in past the last remembered row
+_NO_ROW = (None, (None, None))  # save_table's stand-in past the last remembered row
 
 
 def load_table(path: str | Path) -> TemporalTable:
     """Read a store file back into a table.
 
     Raises VersionMismatch for unsupported schema versions and
-    MalformedStore for anything else that deviates from the grammar,
-    including truncation (a missing `end` sentinel).
+    MalformedStore for any other text that save_table does not write, such
+    as `1.50` for `1.5` or a truncated file (a missing `end` sentinel).
 
     The parsed rows of the last store loaded are kept, keyed by their exact
     text and the granularity, so reloading a store after an append parses
@@ -519,13 +514,14 @@ def load_table(path: str | Path) -> TemporalTable:
     """
     global _parsed_rows
     cursor = _Cursor.open(path, STORE_MAGIC, STORE_VERSION, "table store")
-    granularity = cursor.parse(Granularity, cursor.expect_field("granularity"), "granularity")
+    granularity = cursor.parse(Granularity, cursor.expect_field("granularity"), "granularity",
+                               lambda g: g.value)
     columns = tuple(_parse_column(fields, cursor) for fields in cursor.records("columns", "col", 5))
     sources: dict[str, set[str]] = {column.metric: set() for column in columns}
     known_granularity, _, known = _parsed_rows
     if known_granularity is not granularity:
         known = {}
-    parsed: dict[str, tuple[TimeSlice, dict[str, Cell], bool]] = {}
+    parsed: dict[str, tuple[TimeSlice, dict[str, Cell]]] = {}
     rows: dict[TimeSlice, dict[str, Cell]] = {}
     previous: dt.date | None = None
     for _ in range(cursor.expect_count("rows")):
@@ -538,7 +534,7 @@ def load_table(path: str | Path) -> TemporalTable:
                 cell_sources = _column_sources(sources, metric, cursor)
                 for entry in cell.entries:
                     cell_sources.add(entry.source)
-        ts, row, _ = parsed[text] = parsed_row
+        ts, row = parsed[text] = parsed_row
         # add_report re-sorts only the rows it touches, so loaded rows must be canonical
         if previous is not None and ts.start_date <= previous:
             if ts.start_date == previous:
@@ -588,12 +584,15 @@ class _Cursor:
     def fail(self, message: str):
         raise MalformedStore(f"{self.name}:{self.pos}: {message}")
 
-    def parse(self, convert, text: str, what: str):
-        """convert(text), failing with a message that names `what` if it raises ValueError."""
+    def parse(self, convert, text: str, what: str, write, message: str | None = None):
+        """convert(text) if `write`, the savers' writer, gives `text` back; else fail with `message`."""
         try:
-            return convert(text)
+            value = convert(text)
+            if write(value) == text:
+                return value
         except ValueError:
-            self.fail(f"bad {what} {text!r}")
+            pass
+        self.fail(message or f"bad {what} {text!r}")
 
     def expect_field(self, key: str) -> str:
         line = self.next()
@@ -603,11 +602,10 @@ class _Cursor:
         return line[len(prefix):]
 
     def expect_count(self, key: str) -> int:
-        value = self.expect_field(key)
-        # ASCII only: str.isdigit() also holds for digits such as '²' that int() rejects
-        if not (value.isascii() and value.isdigit()):
-            self.fail(f"expected integer {key} count, got {value!r}")
-        return int(value)
+        text = self.expect_field(key)
+        # str() writes a count; abs(), because int() also reads a '-1' that str() would give back
+        return self.parse(int, text, key, lambda count: str(abs(count)),
+                          f"expected integer {key} count, got {text!r}")
 
     def records(self, count_key: str, key: str, n_fields: int) -> Iterator[list[str]]:
         """The `|`-split bodies of the `key` records counted by the `count_key` line."""
@@ -622,6 +620,11 @@ class _Cursor:
             raise MalformedStore(f"{self.name}: missing end sentinel (truncated file?)")
 
 
+def _items(text: str) -> tuple[str, ...]:
+    # the writers never write an empty item, so dropping them makes the text fail their check
+    return tuple(item for item in text.split(",") if item)
+
+
 def _parse_column(parts: list[str], cursor: _Cursor) -> ColumnDescriptor:
     metric, unit, rng_text, rng_unit, sources_text = parts
     reference_range = _parse_range(rng_text, rng_unit, cursor) if rng_text else None
@@ -630,8 +633,8 @@ def _parse_column(parts: list[str], cursor: _Cursor) -> ColumnDescriptor:
 
 
 def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, set[str]], cursor: _Cursor):
-    """Parse one row into (slice, cells, not yet written); adds each cell's sources to `sources`."""
-    start = cursor.parse(dt.date.fromisoformat, parts[0], "slice date")
+    """Parse one row into (slice, cells); adds each cell's sources to `sources`."""
+    start = cursor.parse(dt.date.fromisoformat, parts[0], "slice date", dt.date.isoformat)
     try:
         ts = TimeSlice(TimePoint.day(start), granularity)
     except ValueError as exc:
@@ -663,7 +666,7 @@ def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, se
             entries.append(entry)
             cell_sources.add(source)
         row[metric] = Cell(tuple(entries))
-    return ts, row, False
+    return ts, row
 
 
 def _column_sources(sources: dict[str, set[str]], metric: str, cursor: _Cursor) -> set[str]:
@@ -686,11 +689,8 @@ def _parse_range(text: str, unit: str, cursor: _Cursor) -> RefRange:
 
 
 def _finite_float(text: str, what: str, cursor: _Cursor) -> float:
-    """Parse a float the savers could have written: nan and infinities are rejected."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    """A float as repr() writes it; nan and the infinities, which no saver writes, fail."""
+    value = cursor.parse(float, text, what, repr)
     if not math.isfinite(value):
         cursor.fail(f"bad {what} {text!r}")
     return value
@@ -749,23 +749,18 @@ def load_observations(path: str | Path) -> tuple[list[Observation], dict[str, Re
     for fields in cursor.records("observations", "obs", 6):
         source, metric, value_text, unit, time_text, flags_text = fields
         value = _finite_float(value_text, "observation value", cursor)
-        time = _parse_archive_time(time_text, cursor)
+        time = cursor.parse(_time_point, time_text, "observation time", TimePoint.isoformat)
         flags = frozenset(f for f in flags_text.split(",") if f)
         observations.append(Observation(metric, value, unit, time, source, flags))
     cursor.end()
     return observations, ranges
 
 
-def _parse_archive_time(text: str, cursor: _Cursor) -> TimePoint:
-    date_text, _, time_text = text.partition(" ")
-    try:
-        date = dt.date.fromisoformat(date_text)
-        if time_text:
-            hh, mm = time_text.split(":")
-            return TimePoint.minute(date, dt.time(int(hh), int(mm)))
-        return TimePoint.day(date)
-    except ValueError:
-        cursor.fail(f"bad observation time {text!r}")
+def _time_point(text: str) -> TimePoint:
+    """TimePoint.isoformat's inverse on what it writes: a date, or a date and `HH:MM`."""
+    date_text, sep, time_text = text.partition(" ")
+    date = dt.date.fromisoformat(date_text)
+    return TimePoint.minute(date, dt.time.fromisoformat(time_text)) if sep else TimePoint.day(date)
 
 
 def atomic_write_text(path: Path, text: str) -> None:

@@ -22,11 +22,13 @@ from chronofuse import (
     aggregate_cell,
     column_count_formula,
     fuse,
+    load_observations,
     load_table,
     rebucket,
     save_table,
     slice_for,
     slice_range,
+    spec_from_text,
 )
 from chronofuse.errors import (
     ChronofuseError,
@@ -629,15 +631,47 @@ def test_appends_through_the_store_save_the_same_bytes_as_one_fuse(case, data):
             assert path.read_bytes() == store_bytes(fuse(fused, granularity, ranges=RANGES)[0])
 
 
-def test_saving_a_loaded_store_writes_canonical_values(tmp_path):
-    path = write_store(tmp_path, ["2021-01-01|a=1.50@r1;+2.0@r2|b=1_0@r1", "2021-01-02|a= 3.0@r1"])
-    canonical = STORE_HEAD + "rows 2\nrow 2021-01-01|a=1.5@r1;2.0@r2|b=10.0@r1\nrow 2021-01-02|a=3.0@r1\nend\n"
-    written = tmp_path / "saved.txt"
-    for _ in range(2):
-        table = load_table(path)
-        for _ in range(2):
-            save_table(table, written)
-            assert written.read_text(encoding="utf-8") == canonical
+# Valid files, and one token or line changed to a form their saver never writes.
+STORE = STORE_HEAD + "rows 1\nrow 2021-01-04|a=1.1@r1;2.0@r2|b=10.0@r1\nend\n"
+ARCHIVE = ("chronofuse-observations 1\nranges 1\nrange a|1.0..2.0|\nobservations 2\n"
+           "obs r1|a|1.5||2021-01-05 09:05|\nobs r2|a|2.5||2021-01-06|out_of_range,unit_mismatch\nend\n")
+SPEC = ("chronofuse-chart 1\nkind line\ntime_range 2021-01-04..2021-01-05\nslots 0\n"
+        "labels 2021-01-04,2021-01-05\npalette 1\nseries 1\ns a|none|1|0.0:1.5 1.0:2.0\nend\n")
+NOT_WRITTEN = {
+    "store-value-trailing-zero": ("store", "a=1.1@", "a=1.10@"),
+    "store-value-plus": ("store", "a=1.1@", "a=+1.1@"),
+    "store-value-space": ("store", "a=1.1@", "a= 1.1@"),
+    "store-value-exponent": ("store", "a=1.1@", "a=1.1e0@"),
+    "store-value-underscore": ("store", "b=10.0@", "b=1_0@"),
+    "store-date-basic": ("store", "row 2021-01-04", "row 20210104"),
+    "store-date-iso-week": ("store", "row 2021-01-04", "row 2021-W01-1"),
+    "store-count-leading-zero": ("store", "columns 2", "columns 02"),
+    "archive-value-trailing-zero": ("archive", "|1.5|", "|1.50|"),
+    "archive-time-short": ("archive", "09:05", "9:5"),
+    "archive-time-underscore": ("archive", "09:05", "0_9:05"),
+    "archive-time-seconds": ("archive", "09:05", "09:05:00"),
+    "archive-date-basic": ("archive", "2021-01-05", "20210105"),
+    "spec-point-trailing-zero": ("spec", "0.0:1.5", "0.00:1.5"),
+    "spec-palette-plus": ("spec", "palette 1", "palette +1"),
+}
+
+
+def load_text(kind, text, tmp_path):
+    if kind == "spec":
+        return spec_from_text(text)
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return load_table(path) if kind == "store" else load_observations(path)
+
+
+@pytest.mark.parametrize("case", sorted(NOT_WRITTEN))
+def test_loaders_accept_only_what_the_savers_write(tmp_path, case):
+    kind, old, new = NOT_WRITTEN[case]
+    valid = {"store": STORE, "archive": ARCHIVE, "spec": SPEC}[kind]
+    load_text(kind, valid, tmp_path)
+    assert old in valid
+    with pytest.raises(MalformedStore):
+        load_text(kind, valid.replace(old, new), tmp_path)
 
 
 def test_a_negative_zero_cell_replacing_an_equal_loaded_one_is_saved(tmp_path):
@@ -885,3 +919,4 @@ def test_save_table_checks_unchanged_loaded_rows_against_new_columns(tmp_path, c
     with pytest.raises(ValueError, match=message):
         save_table(replace(table, columns=columns), path)
     assert path.read_bytes() == before
+
