@@ -10,9 +10,9 @@ class ChronofuseError(Exception):
 
 
 def read_text(path, error: type[ChronofuseError], what: str) -> str:
-    """The UTF-8 text of the file at `path` (a Path); `what` names it in the `error` raised."""
+    """The UTF-8 text of the file at `path` (a Path), line breaks as they are; `what` names it."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -390,12 +390,12 @@ def aggregate_cell(cell: Cell, aggregator: Aggregator = Aggregator.MEAN) -> floa
 #   end
 #
 # Values are written with repr() so the round trip is bit exact. The loaders read each
-# token through its writer (_Cursor.parse), so it accepts only the form the savers write.
+# token through its writer (_Cursor.parse), so a file that loads saves to the same bytes.
 
 
-def _writable_token(text: str, what: str) -> str:
+def _writable_token(text: str, what: str = "name") -> str:
     # the store grammar cannot escape its separators, so refuse them up front
-    if any(ch in _RESERVED_NAME_CHARS for ch in text):
+    if not _RESERVED_NAME_CHARS.isdisjoint(text):
         raise ValueError(
             f"{what} {text!r} contains a reserved store character (| ; = @ or a line break)"
         )
@@ -558,7 +558,7 @@ class _Cursor:
     """
 
     def __init__(self, text: str, name: str):
-        self.lines = text.splitlines()
+        self.lines = text.split("\n")  # the savers end every line with '\n' and nothing else
         self.name = name
         self.pos = 0
 
@@ -567,11 +567,11 @@ class _Cursor:
         """Read a file and check its `<magic> <version>` line; `what` names the format."""
         path = Path(path)
         cursor = cls(read_text(path, MalformedStore, what), path.name)
-        parts = cursor.next().split()
-        if len(parts) != 2 or parts[0] != magic:
+        found, sep, version_text = cursor.next().partition(" ")
+        if found != magic or not sep:
             raise MalformedStore(f"{path.name}: not a chronofuse {what}")
-        if parts[1] != str(version):
-            raise VersionMismatch(f"{path.name}: unsupported {what} version {parts[1]!r}")
+        if cursor.parse(int, version_text, f"{what} version", str) != version:
+            raise VersionMismatch(f"{path.name}: unsupported {what} version {version_text!r}")
         return cursor
 
     def next(self) -> str:
@@ -618,6 +618,8 @@ class _Cursor:
     def end(self) -> None:
         if self.next() != "end":
             raise MalformedStore(f"{self.name}: missing end sentinel (truncated file?)")
+        if self.lines[self.pos:] != [""]:
+            self.fail("expected '\\n' after end and nothing more")
 
 
 def _items(text: str) -> tuple[str, ...]:
@@ -627,8 +629,13 @@ def _items(text: str) -> tuple[str, ...]:
 
 def _parse_column(parts: list[str], cursor: _Cursor) -> ColumnDescriptor:
     metric, unit, rng_text, rng_unit, sources_text = parts
+    if rng_unit and not rng_text:
+        cursor.fail(f"range unit {rng_unit!r} without a reference range")
     reference_range = _parse_range(rng_text, rng_unit, cursor) if rng_text else None
-    sources = frozenset(s for s in sources_text.split(",") if s)
+    sources = cursor.parse(lambda t: frozenset(_items(t)), sources_text, "report ids",
+                           lambda ids: _writable_token(",".join(sorted(ids)), "report ids"))
+    for name, what in ((metric, "metric"), (unit, "unit")):
+        cursor.parse(str, name, what, _writable_token)
     return ColumnDescriptor(metric, unit, reference_range, sources)
 
 
@@ -683,7 +690,7 @@ def _parse_range(text: str, unit: str, cursor: _Cursor) -> RefRange:
     low = _finite_float(low_text, "reference range bound", cursor)
     high = _finite_float(high_text, "reference range bound", cursor)
     try:
-        return RefRange(low, high, unit)
+        return RefRange(low, high, cursor.parse(str, unit, "range unit", _writable_token))
     except ValueError as exc:
         cursor.fail(f"bad reference range {text!r}: {exc}")
 
@@ -744,13 +751,21 @@ def load_observations(path: str | Path) -> tuple[list[Observation], dict[str, Re
     cursor = _Cursor.open(path, ARCHIVE_MAGIC, ARCHIVE_VERSION, "observation archive")
     ranges: dict[str, RefRange] = {}
     for metric, rng_text, rng_unit in cursor.records("ranges", "range", 3):
+        if ranges and metric <= next(reversed(ranges)):  # written in metric order, once each
+            cursor.fail(f"range for metric {metric!r} comes after {next(reversed(ranges))!r}")
+        cursor.parse(str, metric, "metric", _writable_token)
         ranges[metric] = _parse_range(rng_text, rng_unit, cursor)
     observations: list[Observation] = []
+    names: set[str] = set()  # a handful of names repeat over every observation
     for fields in cursor.records("observations", "obs", 6):
         source, metric, value_text, unit, time_text, flags_text = fields
+        for name, what in ((source, "report id"), (metric, "metric"), (unit, "unit")):
+            if name not in names:
+                names.add(cursor.parse(str, name, what, _writable_token))
         value = _finite_float(value_text, "observation value", cursor)
         time = cursor.parse(_time_point, time_text, "observation time", TimePoint.isoformat)
-        flags = frozenset(f for f in flags_text.split(",") if f)
+        flags = cursor.parse(lambda t: frozenset(_items(t)), flags_text, "flags",
+                             lambda flags: ",".join(sorted(flags)))
         observations.append(Observation(metric, value, unit, time, source, flags))
     cursor.end()
     return observations, ranges

@@ -646,13 +646,37 @@ NOT_WRITTEN = {
     "store-date-basic": ("store", "row 2021-01-04", "row 20210104"),
     "store-date-iso-week": ("store", "row 2021-01-04", "row 2021-W01-1"),
     "store-count-leading-zero": ("store", "columns 2", "columns 02"),
+    "store-sources-unsorted": ("store", "|r1,r2\n", "|r2,r1\n"),
+    "store-sources-duplicate": ("store", "col b||||r1\n", "col b||||r1,r1\n"),
+    "store-sources-empty-item": ("store", "col b||||r1\n", "col b||||r1,,r1\n"),
+    "store-header-tab": ("store", "chronofuse-table 1", "chronofuse-table\t1"),
+    "store-crlf": ("store", "\n", "\r\n"),
+    "store-no-final-newline": ("store", "end\n", "end"),
+    "store-after-end": ("store", "end\n", "end\n\n"),
+    "store-version-leading-zero": ("store", "chronofuse-table 1", "chronofuse-table 01"),
+    "store-unit-reserved": ("store", "col b||||r1\n", "col b|m@g|||r1\n"),
+    "store-report-id-reserved": ("store", "r2", "r=2"),
+    "store-range-unit-without-range": ("store", "col b||||r1\n", "col b|||mg|r1\n"),
     "archive-value-trailing-zero": ("archive", "|1.5|", "|1.50|"),
     "archive-time-short": ("archive", "09:05", "9:5"),
     "archive-time-underscore": ("archive", "09:05", "0_9:05"),
     "archive-time-seconds": ("archive", "09:05", "09:05:00"),
     "archive-date-basic": ("archive", "2021-01-05", "20210105"),
+    "archive-flags-unsorted": ("archive", "out_of_range,unit_mismatch", "unit_mismatch,out_of_range"),
+    "archive-flags-empty-item": ("archive", "out_of_range,unit_mismatch", "out_of_range,,out_of_range"),
+    "archive-after-end": ("archive", "end\n", "end\nend\n"),
+    "archive-ranges-duplicate": ("archive", "ranges 1\nrange a|1.0..2.0|\n",
+                                 "ranges 2\nrange a|1.0..2.0|\nrange a|1.0..3.0|\n"),
+    "archive-ranges-unsorted": ("archive", "ranges 1\nrange a|1.0..2.0|\n",
+                                "ranges 2\nrange b|1.0..2.0|\nrange a|1.0..2.0|\n"),
+    "archive-unit-reserved": ("archive", "obs r1|a|1.5||", "obs r1|a|1.5|m;g|"),
     "spec-point-trailing-zero": ("spec", "0.0:1.5", "0.00:1.5"),
     "spec-palette-plus": ("spec", "palette 1", "palette +1"),
+    "spec-labels-empty-item": ("spec", "labels 2021-01-04,2021-01-05", "labels 2021-01-04,,2021-01-05"),
+    "spec-no-final-newline": ("spec", "end\n", "end"),
+    "spec-time-range-without-dots": ("spec", "time_range 2021-01-04..2021-01-05", "time_range 2021-01-04"),
+    "spec-points-two-spaces": ("spec", "0.0:1.5 1.0:2.0", "0.0:1.5  1.0:2.0"),
+    "spec-indices-unsorted": ("spec", "|none|1|", "|none|1,0|"),
 }
 
 
