@@ -16,6 +16,7 @@ import operator
 import os
 import sys
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -406,11 +407,11 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
     """Write a table to its line-oriented store file (atomic replace).
 
     Refuses, before writing, a table whose store load_table would reject:
-    NonFiniteValue for a non-finite cell value, ValueError for anything else
-    but a column naming a report id that no cell has. A row whose cells are
-    the very objects that load_table remembers for its slice is written as
-    the line it was loaded from, which is the text formatting it would give,
-    so after a load only the rows changed since are formatted.
+    NonFiniteValue for a non-finite cell value, ValueError for anything
+    else. A row whose cells are the very objects that load_table remembers
+    for its slice is written as the line it was loaded from, which is the
+    text formatting it would give, so after a load only the rows changed
+    since are formatted.
     """
     path = Path(path)
     lines = [f"{STORE_MAGIC} {STORE_VERSION}", f"granularity {table.granularity.value}"]
@@ -437,6 +438,8 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
     reusable = known_granularity is table.granularity and all(
         c.metric in sources and c.source_reports <= sources[c.metric] for c in known_columns
     )
+    present: defaultdict[str, set[str]] = defaultdict(set)  # report ids in the rows formatted
+    lost: defaultdict[str, set[str]] = defaultdict(set)  # in the remembered rows not reused
     remembered = iter(known.items() if reusable else ())  # in date order, like the rows
     text, (known_ts, cells) = next(remembered, _NO_ROW)
     previous: dt.date | None = None
@@ -449,17 +452,39 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
             raise ValueError(f"row {day} comes after row {previous}")
         previous = day
         while known_ts is not None and known_ts.start.date < day:
+            _add_sources(lost, cells)
             text, (known_ts, cells) = next(remembered, _NO_ROW)
-        same = (known_ts is not None and known_ts.start.date == day and len(row) == len(cells)
+        if (known_ts is not None and known_ts.start.date == day and len(row) == len(cells)
                 and all(map(operator.is_, row, cells))  # the same metrics in the same order
-                and all(map(operator.is_, row.values(), cells.values())))  # not ==: 0.0 == -0.0
-        lines.append("row " + (text if same else _row_text(day.isoformat(), row, sources)))
+                and all(map(operator.is_, row.values(), cells.values()))):  # not ==: 0.0 == -0.0
+            lines.append("row " + text)
+            text, (known_ts, cells) = next(remembered, _NO_ROW)
+        else:
+            lines.append("row " + _row_text(day.isoformat(), row, sources, present))
+    _add_sources(lost, cells)
+    for _, (_, cells) in remembered:
+        _add_sources(lost, cells)
+    # each report id a column names must be in one of its cells. The loader found each one
+    # of a remembered column in a remembered row, which is here unless it was not reused
+    kept = {c.metric: c.source_reports - lost[c.metric] for c in known_columns if reusable}
+    for column in table.columns:
+        missing = column.source_reports - present[column.metric] - kept.get(column.metric, set())
+        if missing:  # cells edited since the load may have dropped them: look at every row
+            missing -= {entry.source for row in table.rows.values() if column.metric in row
+                        for entry in row[column.metric].entries}
+        if missing:
+            raise ValueError(f"column {column.metric!r} names report ids {sorted(missing)} "
+                             f"that none of its cells has")
     lines.append("end")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _row_text(day: str, row: Mapping[str, Cell], sources: Mapping[str, frozenset[str]]) -> str:
-    """The body of a row record, refusing the cells load_table would reject."""
+def _row_text(day: str, row: Mapping[str, Cell], sources: Mapping[str, frozenset[str]],
+              present: defaultdict[str, set[str]]) -> str:
+    """The body of a row record, refusing the cells load_table would reject.
+
+    Adds the report ids of its cells to `present`.
+    """
     if not row:
         raise ValueError(f"slice {day} has no cells")
     fields = [day]
@@ -467,6 +492,7 @@ def _row_text(day: str, row: Mapping[str, Cell], sources: Mapping[str, frozenset
         column_sources = sources.get(metric)
         if column_sources is None:
             raise ValueError(f"slice {day} metric {metric!r} has no column")
+        found = present[metric]
         texts = []
         previous = None
         for entry in row[metric].entries:
@@ -484,9 +510,15 @@ def _row_text(day: str, row: Mapping[str, Cell], sources: Mapping[str, frozenset
                 raise ValueError(f"slice {day} metric {metric!r} has cell entries not sorted by "
                                  f"(source, value, sign)")
             previous = key
+            found.add(source)
             texts.append(f"{value!r}@{source}")
         fields.append(f"{metric}={';'.join(texts)}")
     return "|".join(fields)
+
+
+def _add_sources(sources: defaultdict[str, set[str]], row: Mapping[str, Cell]) -> None:
+    for metric, cell in row.items():
+        sources[metric].update(entry.source for entry in cell.entries)
 
 
 # the last store load_table read in full: its granularity, its columns and, for each row
@@ -496,7 +528,7 @@ _parsed_rows: tuple[
     tuple[ColumnDescriptor, ...],
     dict[str, tuple[TimeSlice, dict[str, Cell]]],
 ] = (None, (), {})
-_NO_ROW = (None, (None, None))  # save_table's stand-in past the last remembered row
+_NO_ROW = (None, (None, {}))  # save_table's stand-in past the last remembered row
 
 
 def load_table(path: str | Path) -> TemporalTable:

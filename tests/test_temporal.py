@@ -944,3 +944,19 @@ def test_save_table_checks_unchanged_loaded_rows_against_new_columns(tmp_path, c
         save_table(replace(table, columns=columns), path)
     assert path.read_bytes() == before
 
+
+def test_save_table_refuses_a_column_naming_a_report_id_no_cell_has(tmp_path):
+    table = hand_table({"2021-01-01": {"a": [(1.0, "r1")]}}, columns={"a": {"r1", "r9"}})
+    assert_refused(tmp_path, table, ValueError, r"column 'a' names report ids \['r9'\] that none of its cells has")
+    # after a load: the first row is formatted, the second reused
+    path = write_store(tmp_path, ["2021-01-01|a=1.0@r1;2.0@r2|b=3.0@r1", "2021-01-02|a=4.0@r2"])
+    table = load_table(path)
+    rows = list(table.rows.values())
+    rows[0]["a"] = cell((1.0, "r1"))  # r2 is still in the second row
+    save_table(table, path)
+    saved = path.read_bytes()
+    assert b"row 2021-01-01|a=1.0@r1|b=3.0@r1\nrow 2021-01-02|a=4.0@r2\n" in saved
+    rows[1]["a"] = cell((4.0, "r1"))  # and now in no row
+    with pytest.raises(ValueError, match=r"column 'a' names report ids \['r2'\]"):
+        save_table(table, path)
+    assert path.read_bytes() == saved
