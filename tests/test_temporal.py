@@ -25,6 +25,7 @@ from chronofuse import (
     load_observations,
     load_table,
     rebucket,
+    save_observations,
     save_table,
     slice_for,
     slice_range,
@@ -365,6 +366,18 @@ def test_archive_round_trip(tmp_path, corpus_observations, lexicon):
     loaded, ranges = load_observations(path)
     assert loaded == corpus_observations
     assert ranges == lexicon.ranges()
+
+
+def test_archive_golden_loads_and_saves_back_to_its_bytes(tmp_path, corpus_observations, lexicon,
+                                                          fixtures_dir):
+    # the archive the README quick start's ingest writes from the fixture corpus
+    golden = (fixtures_dir / "golden" / "observations.txt").read_bytes()
+    path = tmp_path / "observations.txt"
+    save_observations(corpus_observations, path, ranges=lexicon.ranges())
+    assert path.read_bytes() == golden
+    observations, ranges = load_observations(fixtures_dir / "golden" / "observations.txt")
+    save_observations(observations, path, ranges=ranges)
+    assert path.read_bytes() == golden
 
 
 def test_archive_rejects_garbage(tmp_path):
