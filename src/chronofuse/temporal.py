@@ -481,10 +481,7 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
 
 def _row_text(day: str, row: Mapping[str, Cell], sources: Mapping[str, frozenset[str]],
               present: defaultdict[str, set[str]]) -> str:
-    """The body of a row record, refusing the cells load_table would reject.
-
-    Adds the report ids of its cells to `present`.
-    """
+    """The body of a row record, refusing the cells load_table would reject; adds their ids to `present`."""
     if not row:
         raise ValueError(f"slice {day} has no cells")
     fields = [day]
