@@ -19,8 +19,9 @@ import tempfile
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     EmptyCell,
@@ -71,14 +72,7 @@ class TimeSlice:
     @property
     def end_date(self) -> dt.date:
         """Exclusive end of the slice."""
-        d = self.start.date
-        if self.granularity is Granularity.DAY:
-            return d + dt.timedelta(days=1)
-        if self.granularity is Granularity.WEEK:
-            return d + dt.timedelta(days=7)
-        if d.month == 12:
-            return dt.date(d.year + 1, 1, 1)
-        return dt.date(d.year, d.month + 1, 1)
+        return _slice_end(self.start.date, self.granularity)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,6 +142,17 @@ def slice_start(date: dt.date, granularity: Granularity) -> dt.date:
     if granularity is Granularity.WEEK:
         return date - dt.timedelta(days=date.weekday())
     return date.replace(day=1)
+
+
+def _slice_end(start: dt.date, granularity: Granularity) -> dt.date:
+    """The exclusive end of the slice that starts on `start`."""
+    if granularity is Granularity.DAY:
+        return start + dt.timedelta(days=1)
+    if granularity is Granularity.WEEK:
+        return start + dt.timedelta(days=7)
+    if start.month == 12:
+        return dt.date(start.year + 1, 1, 1)
+    return dt.date(start.year, start.month + 1, 1)
 
 
 def slice_for(time: TimePoint, granularity: Granularity) -> TimeSlice:
@@ -247,10 +252,10 @@ class _Accumulator:
                 counts = self.flagged.setdefault(obs.metric, {})
                 counts[flag] = counts.get(flag, 0) + 1
 
-    def add_rows(self, rows: Mapping[TimeSlice, Mapping[str, Cell]]) -> None:
-        """Feed existing cells (whose columns were given at construction)."""
-        for ts, row in rows.items():
-            target = self.entries.setdefault(slice_start(ts.start.date, self.granularity), {})
+    def add_rows(self, start: dt.date, rows: Iterable[Mapping[str, Cell]]) -> None:
+        """Feed existing cells (whose columns were given at construction) to slice `start`."""
+        target = self.entries.setdefault(start, {})
+        for row in rows:
             for metric, cell in row.items():
                 target.setdefault(metric, []).extend(cell.entries)
 
@@ -342,7 +347,19 @@ def slice_range(table: TemporalTable, start: TimePoint, end: TimePoint) -> Tempo
 
 
 def rebucket(table: TemporalTable, granularity: Granularity) -> TemporalTable:
-    """Re-key a table to a coarser (or equal) granularity."""
+    """Re-key a table to a coarser (or equal) granularity.
+
+    The output rows of the last call are kept, by slice start, with the
+    dates, metrics and cells of the input rows each was built from. An
+    output slice whose input rows have the same dates and the same metrics
+    in the same order, with every cell the identical object (`is`, not
+    `==`: `0.0 == -0.0`), gets its kept row back; only the other slices are
+    accumulated again, so after an append only the touched slice is
+    rebuilt. The returned row dicts are fresh, so the caller may change
+    them. One table's slices are kept at most, replaced whole when the call
+    ends, so concurrent calls are safe; a process that alternates between
+    tables gains nothing from this.
+    """
     order = [Granularity.DAY, Granularity.WEEK, Granularity.MONTH]
     if order.index(granularity) < order.index(table.granularity):
         raise FinerGranularity(
@@ -350,9 +367,40 @@ def rebucket(table: TemporalTable, granularity: Granularity) -> TemporalTable:
         )
     if granularity is table.granularity:
         return table
+    groups: dict[dt.date, tuple[list[dt.date], list[dict[str, Cell]]]] = {}  # by output slice
+    start = end = None
+    for ts, row in table.rows.items():
+        day = ts.start.date
+        if end is None or not start <= day < end:  # rows are usually in date order: few lookups
+            start = slice_start(day, granularity)
+            end = _slice_end(start, granularity)
+            days, rows = groups.setdefault(start, ([], []))
+        days.append(day)
+        rows.append(row)
+    known_granularity, known = _memory.buckets
+    if known_granularity is not granularity:
+        known = {}
     acc = _Accumulator(granularity, table.columns)
-    acc.add_rows(table.rows)
-    return acc.table()
+    buckets: dict[dt.date, _Bucket] = {}
+    missed: dict[dt.date, tuple[list[dt.date], tuple[str, ...], tuple[Cell, ...]]] = {}
+    for start, (days, rows) in groups.items():
+        metrics = tuple(chain.from_iterable(rows))
+        cells = tuple(chain.from_iterable(row.values() for row in rows))
+        kept = known.get(start)
+        if (kept is not None and kept.days == days and kept.metrics == metrics
+                # as many cells as metrics; `is`, not ==: 0.0 == -0.0
+                and all(map(operator.is_, kept.cells, cells))):
+            buckets[start] = kept
+        else:
+            acc.add_rows(start, rows)
+            missed[start] = days, metrics, cells
+    built = acc.table()
+    for ts, row in built.rows.items():
+        buckets[ts.start.date] = _Bucket(*missed[ts.start.date], ts, row)
+    buckets = {start: buckets[start] for start in sorted(buckets)}
+    _memory.buckets = (granularity, buckets)
+    rows = {bucket.ts: dict(bucket.row) for bucket in buckets.values()}
+    return TemporalTable(granularity=granularity, columns=built.columns, rows=rows)
 
 
 def aggregate_cell(cell: Cell, aggregator: Aggregator = Aggregator.MEAN) -> float:
@@ -433,7 +481,7 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
         names = ",".join(sorted(column.source_reports))
         lines.append(f"col {column.metric}|{column.unit}|{rng}|{rng_unit}|{names}")
     lines.append(f"rows {len(table.rows)}")
-    known_granularity, known_columns, known = _parsed_rows
+    known_granularity, known_columns, known = _memory.rows
     # the loader checked the remembered cells against known_columns, so they hold here too
     reusable = known_granularity is table.granularity and all(
         c.metric in sources and c.source_reports <= sources[c.metric] for c in known_columns
@@ -518,13 +566,37 @@ def _add_sources(sources: defaultdict[str, set[str]], row: Mapping[str, Cell]) -
         sources[metric].update(entry.source for entry in cell.entries)
 
 
-# the last store load_table read in full: its granularity, its columns and, for each row
-# text, the (slice, cells) it holds; the text is what save_table writes for those cells
-_parsed_rows: tuple[
-    Granularity | None,
-    tuple[ColumnDescriptor, ...],
-    dict[str, tuple[TimeSlice, dict[str, Cell]]],
-] = (None, (), {})
+class _Bucket(NamedTuple):
+    """An output slice of rebucket and the input rows it was built from."""
+
+    days: list[dt.date]  # the dates of the input rows
+    metrics: tuple[str, ...]  # their metrics and cells, row after row
+    cells: tuple[Cell, ...]
+    ts: TimeSlice
+    row: dict[str, Cell]
+
+
+class _Memory:
+    """What this module keeps between calls, one table's worth of each.
+
+    `rows` is the last store load_table read in full: its granularity, its
+    columns and, for each row text, the (slice, cells) it holds; the text is
+    what save_table writes for those cells. `buckets` is the last rebucket's
+    target granularity and its output slices by start date. Each is replaced
+    whole, never changed in place, so a concurrent call sees the old or the
+    new value.
+    """
+
+    def __init__(self):
+        self.rows: tuple[
+            Granularity | None,
+            tuple[ColumnDescriptor, ...],
+            dict[str, tuple[TimeSlice, dict[str, Cell]]],
+        ] = (None, (), {})
+        self.buckets: tuple[Granularity | None, dict[dt.date, _Bucket]] = (None, {})
+
+
+_memory = _Memory()
 _NO_ROW = (None, (None, {}))  # save_table's stand-in past the last remembered row
 
 
@@ -541,13 +613,12 @@ def load_table(path: str | Path) -> TemporalTable:
     the file (col records, col source sets, row order) runs on every row.
     save_table writes a kept row's text again while the row is unchanged.
     """
-    global _parsed_rows
     cursor = _Cursor.open(path, STORE_MAGIC, STORE_VERSION, "table store")
     granularity = cursor.parse(Granularity, cursor.expect_field("granularity"), "granularity",
                                lambda g: g.value)
     columns = tuple(_parse_column(fields, cursor) for fields in cursor.records("columns", "col", 5))
     sources: dict[str, set[str]] = {column.metric: set() for column in columns}
-    known_granularity, _, known = _parsed_rows
+    known_granularity, _, known = _memory.rows
     if known_granularity is not granularity:
         known = {}
     parsed: dict[str, tuple[TimeSlice, dict[str, Cell]]] = {}
@@ -576,7 +647,7 @@ def load_table(path: str | Path) -> TemporalTable:
             cursor.fail(f"col {column.metric!r} names sources {sorted(column.source_reports)}, "
                         f"its cells come from {sorted(sources[column.metric])}")
     cursor.end()
-    _parsed_rows = (granularity, columns, parsed)  # replaced whole, so a concurrent load sees old or new
+    _memory.rows = (granularity, columns, parsed)
     return TemporalTable(granularity=granularity, columns=columns, rows=rows)
 
 

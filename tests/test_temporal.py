@@ -1,4 +1,5 @@
 import datetime as dt
+import itertools
 import os
 import random
 import re
@@ -642,6 +643,82 @@ def test_appends_through_the_store_save_the_same_bytes_as_one_fuse(case, data):
             save_table(table, path)
             fused += batch
             assert path.read_bytes() == store_bytes(fuse(fused, granularity, ranges=RANGES)[0])
+
+
+def negate_zeros(row, day, metric, fused):
+    """Swap a cell for an equal one with -0.0 for each 0.0; the observations it now holds."""
+    row[metric] = Cell(tuple(CellEntry(-0.0 if e.value == 0.0 else e.value, e.source)
+                             for e in row[metric].entries))
+    return [replace(o, value=-0.0) if (o.time.date, o.metric, o.value) == (day, metric, 0.0) else o
+            for o in fused]
+
+
+def add_metric(row, day, metric, fused):
+    name = next(f"d{k}" for k in itertools.count() if f"d{k}" not in row)
+    new = Observation(name, -0.0, "", TimePoint.day(day), "r1")
+    row[new.metric] = Cell((CellEntry(new.value, new.source),))
+    return [*fused, new]
+
+
+ROW_EDITS = {
+    "negative zero": negate_zeros,
+    "new metric": add_metric,
+    "delete row": lambda row, day, metric, fused: [o for o in fused if o.time.date != day],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(base_and_additions(), st.sampled_from([Granularity.WEEK, Granularity.MONTH]), st.data())
+def test_rebucket_after_appends_reloads_and_edits_saves_the_same_bytes_as_one_fuse(case, granularity, data):
+    _, base, additions = case
+    # the same days with every value negated: other cells in the same output slices
+    unrelated, _ = fuse([replace(o, value=-o.value) for o in base + additions], Granularity.DAY)
+    steps = st.sampled_from(["append", "unrelated rebucket", "other store", *sorted(ROW_EDITS)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path, other = Path(tmp) / "table.txt", Path(tmp) / "other.txt"
+        save_table(fuse(base, Granularity.DAY, ranges=RANGES)[0], path)
+        save_table(unrelated, other)
+        table, fused = load_table(path), list(base)
+        for step in data.draw(st.lists(steps, min_size=1, max_size=8), label="steps"):
+            if step == "append":
+                batch = data.draw(st.lists(st.sampled_from(additions), min_size=1, max_size=4))
+                table = add_report(load_table(path), batch, ranges=RANGES)
+                save_table(table, path)
+                fused += batch
+            elif step == "unrelated rebucket":
+                rebucket(unrelated, data.draw(st.sampled_from([Granularity.WEEK, Granularity.MONTH])))
+            elif step == "other store":
+                load_table(other)
+            elif fused:  # edit one row of the loaded store, keep its columns whole, save it
+                table = load_table(path)
+                ts = data.draw(st.sampled_from(list(table.rows)), label="row")
+                metric = data.draw(st.sampled_from(sorted(table.rows[ts])), label="metric")
+                fused = ROW_EDITS[step](table.rows[ts], ts.start_date, metric, fused)
+                if step == "delete row":
+                    del table.rows[ts]
+                table = replace(table, columns=fuse(fused, Granularity.DAY, ranges=RANGES)[0].columns)
+                save_table(table, path)
+            expected = store_bytes(fuse(fused, granularity, ranges=RANGES)[0])
+            assert store_bytes(rebucket(table, granularity)) == expected
+
+
+def test_rebucket_rows_stay_the_callers():
+    observations = [obs("a", 1.0, "2021-01-04"), obs("a", 0.0, "2021-01-05"),
+                    obs("b", 2.0, "2021-01-05", source="r2"), obs("a", 3.0, "2021-01-11")]
+    daily, _ = fuse(observations, Granularity.DAY)
+    same_cells = replace(daily, rows={ts: dict(row) for ts, row in daily.rows.items()})
+    weekly = rebucket(daily, Granularity.WEEK)
+    expected = repr(fuse(observations, Granularity.WEEK)[0].rows)  # repr tells -0.0 from 0.0
+    assert repr(weekly.rows) == expected
+    for row in weekly.rows.values():  # the returned rows are the caller's to change
+        row["a"] = cell((9.0, "r1"))
+    row = daily.rows[slice_for(tp("2021-01-05"), Granularity.DAY)]  # and so are the input's
+    row["a"] = cell((-0.0, "r1"))
+    del row["b"]
+    assert repr(rebucket(same_cells, Granularity.WEEK).rows) == expected
+    edited = [obs("a", 1.0, "2021-01-04"), obs("a", -0.0, "2021-01-05"), obs("a", 3.0, "2021-01-11")]
+    assert repr(rebucket(daily, Granularity.WEEK).rows) == repr(fuse(edited, Granularity.WEEK)[0].rows)
+    assert repr(rebucket(same_cells, Granularity.WEEK).rows) == expected
 
 
 # Valid files, and one token or line changed to a form their saver never writes.
