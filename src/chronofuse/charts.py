@@ -22,7 +22,15 @@ from .errors import (
     UnknownMetric,
 )
 from .ingest import RefRange, TimePoint
-from .temporal import Aggregator, TemporalTable, _Cursor, _items, aggregate_cell, slice_range
+from .temporal import (
+    Aggregator,
+    TemporalTable,
+    _Cursor,
+    _items,
+    _writable_token,
+    aggregate_cell,
+    slice_range,
+)
 
 __all__ = [
     "ChartKind",
@@ -301,24 +309,54 @@ def _points(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(map(float, point.split(":"))) for point in text.split(" ")) if text else ()
 
 
+def _range_text(bounds: tuple[str, str]) -> str:
+    start, end = bounds
+    # read back by splitting at the first '..', which a start ending in '.' would move
+    if ".." in start or ".." in end or start.endswith(".") or "\n" in start + end:
+        raise ValueError(f"time range {bounds!r} has a bound that contains '..' or a line break, "
+                         f"or a start that ends in '.'")
+    return f"{start}..{end}"
+
+
+def _slots_text(slots: int | None) -> str:
+    if slots == 0:  # 0 is what None is written as
+        raise ValueError("angular_slots 0 reads back as None; give None for no slots")
+    return str(slots or 0)
+
+
+def _labels_text(labels: Sequence[str]) -> str:
+    for label in labels:
+        if not label or "," in label or "\n" in label:
+            raise ValueError(f"label {label!r} is empty or contains ',' or a line break")
+    return ",".join(labels)
+
+
 # The lines between the magic line and the series, as (key, ChartSpec field, writer,
 # reader). spec_to_text writes each field with its writer, and spec_from_text reads
 # a field only if the writer gives its text back, so only what spec_to_text writes parses.
 _FIELDS = (
     ("kind", "kind", lambda kind: kind.value, ChartKind),
-    ("time_range", "time_range", "..".join, lambda text: text.partition("..")[::2]),
-    ("slots", "angular_slots", lambda slots: str(slots or 0), lambda text: int(text) or None),
-    ("labels", "slot_labels", ",".join, _items),
+    ("time_range", "time_range", _range_text, lambda text: text.partition("..")[::2]),
+    ("slots", "angular_slots", _slots_text, lambda text: int(text) or None),
+    ("labels", "slot_labels", _labels_text, _items),
     ("palette", "palette", _ints_text, lambda text: tuple(map(int, _items(text)))),
 )
 
 
 def spec_to_text(spec: ChartSpec) -> str:
-    """Serialize a ChartSpec to its line-oriented text form."""
+    """Serialize a ChartSpec to its line-oriented text form.
+
+    Refuses with ValueError, before writing anything, a spec that
+    spec_from_text would not read back equal: a series metric holding a
+    reserved store character (| ; = @ or a line break), a label that is
+    empty or holds ',' or a line break, a time range bound that holds '..'
+    or a line break or a start bound ending in '.', and angular_slots 0.
+    """
     lines = [f"{CHART_MAGIC} {CHART_VERSION}"]
     lines += [f"{key} {write(getattr(spec, name))}" for key, name, write, _ in _FIELDS]
     lines.append(f"series {len(spec.series)}")
     for s in spec.series:
+        _writable_token(s.metric, "metric")
         outside = _ints_text(sorted(s.out_of_range))
         lines.append(f"s {s.metric}|{s.normalization.value}|{outside}|{_points_text(s.points)}")
     lines.append("end")
@@ -335,6 +373,7 @@ def spec_from_text(text: str) -> ChartSpec:
               for key, name, write, read in _FIELDS}
     series = []
     for metric, norm_text, outside_text, points_text in cursor.records("series", "s", 4):
+        cursor.parse(str, metric, "metric", _writable_token)
         normalization = cursor.parse(Normalization, norm_text, "normalization", lambda n: n.value)
         outside = cursor.parse(lambda t: frozenset(map(int, _items(t))), outside_text,
                                "out-of-range indices", lambda indices: _ints_text(sorted(indices)))

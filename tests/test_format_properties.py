@@ -5,24 +5,29 @@ re-saves to the same bytes, and the four loaders raise nothing but
 ChronofuseError on arbitrary text or on a valid file with one line
 mutated; a mutated store, archive or chart spec that loads re-saves to
 its own bytes. What load_table returns for a file does not depend on the store
-it loaded before, and what save_table writes does not depend on it either.
+it loaded before, and what save_table writes does not depend on it either;
+neither does what rebucket returns depend on the table it rebucketed before.
 """
 
 import datetime as dt
 import string
+from dataclasses import replace
 import sys
 import tempfile
 import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chronofuse import (
     Cell,
     CellEntry,
+    ChartKind,
+    ChartSpec,
     Granularity,
+    Normalization,
     Observation,
     TimePoint,
     build_radial_bar_chart,
@@ -32,8 +37,10 @@ from chronofuse import (
     load_observations,
     load_report,
     load_table,
+    rebucket,
     save_observations,
     save_table,
+    Series,
     spec_from_text,
     spec_to_text,
 )
@@ -233,6 +240,71 @@ def test_loaders_raise_only_chronofuse_errors_on_one_mutated_line(kind, data):
         assert RESAVERS[kind](loaded) == mutated
 
 
+# --- spec_to_text writes only what spec_from_text reads back ---
+
+# Text rich in the spec's separators, the store's reserved characters and line breaks.
+SPEC_NAME = st.text(st.sampled_from(",.|;=@\n\r a1-") | st.characters(), max_size=6)
+# Mostly names a spec can hold, so that most generated specs are written and read back.
+SPEC_FIELD = PLAIN_NAME | PLAIN_NAME | SPEC_NAME
+
+
+@st.composite
+def chart_specs(draw):
+    series = []
+    for _ in range(draw(st.integers(1, 3))):
+        ts = sorted(set(draw(st.lists(FINITE, max_size=4))))
+        series.append(Series(draw(SPEC_FIELD), tuple((t, draw(FINITE)) for t in ts),
+                             draw(st.sampled_from(list(Normalization))),
+                             frozenset(draw(st.lists(st.integers(-3, 10), max_size=3)))))
+    try:
+        return ChartSpec(
+            kind=draw(st.sampled_from(list(ChartKind))),
+            series=tuple(series),
+            time_range=(draw(SPEC_FIELD), draw(SPEC_FIELD)),
+            slot_labels=tuple(draw(st.lists(SPEC_FIELD, max_size=4))),
+            palette=tuple(draw(st.lists(st.integers(-2, 20), unique=True, max_size=4))),
+            angular_slots=draw(st.none() | st.integers(-2, 400)),
+        )
+    except ValueError:  # a radial kind without slots
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chart_specs())
+def test_every_spec_spec_to_text_writes_reads_back_equal(spec):
+    try:
+        text = spec_to_text(spec)
+    except ValueError:
+        return
+    assert spec_from_text(text) == spec
+    assert spec_to_text(spec_from_text(text)) == text  # == cannot tell -0.0 from 0.0
+
+
+def _with(*unwritable: str) -> st.SearchStrategy[str]:
+    return st.tuples(SPEC_NAME, st.sampled_from(unwritable), SPEC_NAME).map("".join)
+
+
+UNWRITABLE = {  # a spec field that spec_from_text could not read back, and how to put it in a spec
+    "metric": (_with(*"|;=@\n\r\x85\u2028"),
+               lambda spec, bad: replace(spec, series=(replace(spec.series[0], metric=bad),))),
+    "label": (_with(",", "\n") | st.just(""),
+              lambda spec, bad: replace(spec, slot_labels=(*spec.slot_labels, bad))),
+    "time range start": (_with("..", "\n") | SPEC_NAME.map(lambda text: text + "."),
+                         lambda spec, bad: replace(spec, time_range=(bad, spec.time_range[1]))),
+    "time range end": (_with("..", "\n"),
+                       lambda spec, bad: replace(spec, time_range=(spec.time_range[0], bad))),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(UNWRITABLE)), st.data())
+def test_spec_to_text_refuses_what_spec_from_text_cannot_read_back(field, data):
+    names, put = UNWRITABLE[field]
+    spec = put(spec_from_text(VALID["spec"]), data.draw(names))
+    with pytest.raises(ValueError):
+        spec_to_text(spec)
+
+
 # --- load_table remembers the rows of the last store it loaded ---
 
 
@@ -352,6 +424,10 @@ def test_saves_in_threads_write_their_own_table(tmp_path):
         (tmp_path / f"store{k}.txt").write_bytes(data)
     # an edited first cell must be written as edited, whatever another thread marked
     edited = [data.replace(b"creatinine=1.1@", b"creatinine=-0.0@", 1) for data in stores]
+    # and rebucketed as edited, whatever slices another thread's rebucket kept
+    monthly = [[saved(save_table, rebucket(reloaded(load_table, data), Granularity.MONTH))
+                for data in (store, edit)] for store, edit in zip(stores, edited)]
+    assert monthly[0][0] != monthly[0][1]
     wrong = []
 
     def save_each(offset):
@@ -362,11 +438,15 @@ def test_saves_in_threads_write_their_own_table(tmp_path):
             save_table(table, out)
             if out.read_bytes() != stores[k]:
                 wrong.append(("saved", k))
+            if saved(save_table, rebucket(table, Granularity.MONTH)) != monthly[k][0]:
+                wrong.append(("rebucketed", k))
             first = next(iter(table.rows.values()))
             first["creatinine"] = Cell((CellEntry(-0.0, "report_b.csv"),))
             save_table(table, out)
             if out.read_bytes() != edited[k]:
                 wrong.append(("edited", k))
+            if saved(save_table, rebucket(table, Granularity.MONTH)) != monthly[k][1]:
+                wrong.append(("edited and rebucketed", k))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
