@@ -11,10 +11,10 @@ neither does what rebucket returns depend on the table it rebucketed before.
 
 import datetime as dt
 import string
-from dataclasses import replace
 import sys
 import tempfile
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,6 +29,7 @@ from chronofuse import (
     Granularity,
     Normalization,
     Observation,
+    Series,
     TimePoint,
     build_radial_bar_chart,
     extract_observations,
@@ -40,7 +41,6 @@ from chronofuse import (
     rebucket,
     save_observations,
     save_table,
-    Series,
     spec_from_text,
     spec_to_text,
 )

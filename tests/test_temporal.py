@@ -645,26 +645,27 @@ def test_appends_through_the_store_save_the_same_bytes_as_one_fuse(case, data):
             assert path.read_bytes() == store_bytes(fuse(fused, granularity, ranges=RANGES)[0])
 
 
-def negate_zeros(row, day, metric, fused):
-    """Swap a cell for an equal one with -0.0 for each 0.0; the observations it now holds."""
-    row[metric] = Cell(tuple(CellEntry(-0.0 if e.value == 0.0 else e.value, e.source)
-                             for e in row[metric].entries))
-    return [replace(o, value=-0.0) if (o.time.date, o.metric, o.value) == (day, metric, 0.0) else o
-            for o in fused]
+def negate_zeros(rows, ts, metric, fused):
+    """Swap a cell for an equal one with -0.0 for each 0.0; the observations the rows now hold."""
+    rows[ts][metric] = Cell(tuple(CellEntry(-0.0 if e.value == 0.0 else e.value, e.source)
+                                  for e in rows[ts][metric].entries))
+    return [replace(o, value=-0.0) if (o.time.date, o.metric, o.value) == (ts.start_date, metric, 0.0)
+            else o for o in fused]
 
 
-def add_metric(row, day, metric, fused):
-    name = next(f"d{k}" for k in itertools.count() if f"d{k}" not in row)
-    new = Observation(name, -0.0, "", TimePoint.day(day), "r1")
-    row[new.metric] = Cell((CellEntry(new.value, new.source),))
+def add_metric(rows, ts, metric, fused):
+    name = next(f"d{k}" for k in itertools.count() if f"d{k}" not in rows[ts])
+    new = Observation(name, -0.0, "", TimePoint.day(ts.start_date), "r1")
+    rows[ts][new.metric] = Cell((CellEntry(new.value, new.source),))
     return [*fused, new]
 
 
-ROW_EDITS = {
-    "negative zero": negate_zeros,
-    "new metric": add_metric,
-    "delete row": lambda row, day, metric, fused: [o for o in fused if o.time.date != day],
-}
+def delete_row(rows, ts, metric, fused):
+    del rows[ts]
+    return [o for o in fused if o.time.date != ts.start_date]
+
+
+ROW_EDITS = {"negative zero": negate_zeros, "new metric": add_metric, "delete row": delete_row}
 
 
 @settings(max_examples=100, deadline=None)
@@ -693,9 +694,7 @@ def test_rebucket_after_appends_reloads_and_edits_saves_the_same_bytes_as_one_fu
                 table = load_table(path)
                 ts = data.draw(st.sampled_from(list(table.rows)), label="row")
                 metric = data.draw(st.sampled_from(sorted(table.rows[ts])), label="metric")
-                fused = ROW_EDITS[step](table.rows[ts], ts.start_date, metric, fused)
-                if step == "delete row":
-                    del table.rows[ts]
+                fused = ROW_EDITS[step](table.rows, ts, metric, fused)
                 table = replace(table, columns=fuse(fused, Granularity.DAY, ranges=RANGES)[0].columns)
                 save_table(table, path)
             expected = store_bytes(fuse(fused, granularity, ranges=RANGES)[0])
