@@ -71,7 +71,7 @@ class Normalization(str, Enum):
 class Series:
     """One metric's points, already normalized for plotting.
 
-    Points are (t, v) with strictly increasing t; out_of_range holds the
+    Points are finite (t, v) with strictly increasing t; out_of_range holds the
     indices whose normalized value left [0, 1] (never clamped, so
     clinical excursions stay visible to renderers).
     """
@@ -82,11 +82,12 @@ class Series:
     out_of_range: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        # a NaN t would pass the order check below: every comparison with NaN is false
+        if not all(math.isfinite(t) and math.isfinite(v) for t, v in self.points):
+            raise ValueError(f"series {self.metric!r} has non-finite t or values")
         ts = [t for t, _ in self.points]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError(f"series {self.metric!r} has non-increasing t values")
-        if any(not math.isfinite(v) for _, v in self.points):
-            raise ValueError(f"series {self.metric!r} has non-finite values")
 
 
 @dataclass(frozen=True)

@@ -456,16 +456,19 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
 
     Refuses, before writing, a table whose store load_table would reject:
     NonFiniteValue for a non-finite cell value, ValueError for anything
-    else. A row whose cells are the very objects that load_table remembers
-    for its slice is written as the line it was loaded from, which is the
-    text formatting it would give, so after a load only the rows changed
-    since are formatted.
+    else. A row whose cells are the very objects that the module remembers
+    for its slice is written as the remembered line, which is the text
+    formatting it would give, so after a load or a save only the rows
+    changed since are formatted. Once the file is written, its text and
+    rows are what the module remembers (see load_table).
     """
     path = Path(path)
     lines = [f"{STORE_MAGIC} {STORE_VERSION}", f"granularity {table.granularity.value}"]
     lines.append(f"columns {len(table.columns)}")
     sources: dict[str, frozenset[str]] = {}
     for column in table.columns:
+        if column.metric in sources:
+            raise ValueError(f"column {column.metric!r} comes twice")
         _writable_token(column.metric, "metric")
         _writable_token(column.unit, "unit")
         for source in column.source_reports:
@@ -475,14 +478,14 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
                 raise ValueError(f"report id {source!r} is empty or contains ','")
         rng, rng_unit = "", ""
         if column.reference_range is not None:
-            rng = f"{column.reference_range.low!r}..{column.reference_range.high!r}"
+            rng = _range_text(column.reference_range)
             rng_unit = _writable_token(column.reference_range.unit, "range unit")
         sources[column.metric] = column.source_reports
         names = ",".join(sorted(column.source_reports))
         lines.append(f"col {column.metric}|{column.unit}|{rng}|{rng_unit}|{names}")
     lines.append(f"rows {len(table.rows)}")
-    known_granularity, known_columns, known = _memory.rows
-    # the loader checked the remembered cells against known_columns, so they hold here too
+    _, known_granularity, known_columns, known = _memory.store
+    # the loader or the saver checked the remembered cells against known_columns, so they hold here too
     reusable = known_granularity is table.granularity and all(
         c.metric in sources and c.source_reports <= sources[c.metric] for c in known_columns
     )
@@ -490,9 +493,12 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
     lost: defaultdict[str, set[str]] = defaultdict(set)  # in the remembered rows not reused
     remembered = iter(known.items() if reusable else ())  # in date order, like the rows
     text, (known_ts, cells) = next(remembered, _NO_ROW)
+    written: dict[str, tuple[TimeSlice, dict[str, Cell]]] = {}  # what load_table would parse
     previous: dt.date | None = None
     for ts, row in table.rows.items():
         day = ts.start.date
+        if type(day) is not dt.date:  # a datetime is written with its time, which no loader reads
+            raise ValueError(f"slice start {day!r} is not a date")
         if ts.granularity is not table.granularity:
             raise ValueError(f"slice {day} is a {ts.granularity.value} slice "
                              f"in a {table.granularity.value} table")
@@ -506,14 +512,18 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
                 and all(map(operator.is_, row, cells))  # the same metrics in the same order
                 and all(map(operator.is_, row.values(), cells.values()))):  # not ==: 0.0 == -0.0
             lines.append("row " + text)
+            written[text] = known_ts, cells
             text, (known_ts, cells) = next(remembered, _NO_ROW)
         else:
-            lines.append("row " + _row_text(day.isoformat(), row, sources, present))
+            body = _row_text(day.isoformat(), row, sources, present)
+            lines.append("row " + body)
+            written[body] = ts, {metric: row[metric] for metric in sorted(row)}
     _add_sources(lost, cells)
     for _, (_, cells) in remembered:
         _add_sources(lost, cells)
-    # each report id a column names must be in one of its cells. The loader found each one
-    # of a remembered column in a remembered row, which is here unless it was not reused
+    # each report id a column names must be in one of its cells. The loader, or the save that
+    # wrote them, found each one of a remembered column in a remembered row, which is here
+    # unless it was not reused
     kept = {c.metric: c.source_reports - lost[c.metric] for c in known_columns if reusable}
     for column in table.columns:
         missing = column.source_reports - present[column.metric] - kept.get(column.metric, set())
@@ -524,7 +534,9 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
             raise ValueError(f"column {column.metric!r} names report ids {sorted(missing)} "
                              f"that none of its cells has")
     lines.append("end")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    data = "\n".join(lines) + "\n"
+    atomic_write_text(path, data)
+    _memory.store = (data, table.granularity, tuple(table.columns), written)
 
 
 def _row_text(day: str, row: Mapping[str, Cell], sources: Mapping[str, frozenset[str]],
@@ -542,6 +554,9 @@ def _row_text(day: str, row: Mapping[str, Cell], sources: Mapping[str, frozenset
         previous = None
         for entry in row[metric].entries:
             value, source = entry.value, entry.source
+            if type(value) is not float:  # an int or a bool is written as text no loader reads
+                raise ValueError(f"slice {day} metric {metric!r} has value {value!r} from {source}, "
+                                 f"which is not a float")
             if not math.isfinite(value):
                 raise NonFiniteValue(f"non-finite value for {metric} from {source} in slice {day}")
             if source not in column_sources:
@@ -579,20 +594,22 @@ class _Bucket(NamedTuple):
 class _Memory:
     """What this module keeps between calls, one table's worth of each.
 
-    `rows` is the last store load_table read in full: its granularity, its
-    columns and, for each row text, the (slice, cells) it holds; the text is
-    what save_table writes for those cells. `buckets` is the last rebucket's
-    target granularity and its output slices by start date. Each is replaced
-    whole, never changed in place, so a concurrent call sees the old or the
-    new value.
+    `store` is the last store load_table read or save_table wrote: its whole
+    text, its granularity, its columns and, for each row text in file order,
+    the (slice, cells) it holds; the text is what save_table writes for
+    those cells. `buckets` is the last rebucket's target granularity and its
+    output slices by start date. Each is replaced whole, in one assignment,
+    never changed in place, so a concurrent call sees the old or the new
+    value, never the text of one store with the rows of another.
     """
 
     def __init__(self):
-        self.rows: tuple[
+        self.store: tuple[
+            str | None,
             Granularity | None,
             tuple[ColumnDescriptor, ...],
             dict[str, tuple[TimeSlice, dict[str, Cell]]],
-        ] = (None, (), {})
+        ] = (None, None, (), {})
         self.buckets: tuple[Granularity | None, dict[dt.date, _Bucket]] = (None, {})
 
 
@@ -607,34 +624,50 @@ def load_table(path: str | Path) -> TemporalTable:
     MalformedStore for any other text that save_table does not write, such
     as `1.50` for `1.5` or a truncated file (a missing `end` sentinel).
 
-    The parsed rows of the last store loaded are kept, keyed by their exact
-    text and the granularity, so reloading a store after an append parses
-    only the new or changed rows. Every check that depends on the rest of
-    the file (col records, col source sets, row order) runs on every row.
-    save_table writes a kept row's text again while the row is unchanged.
+    The text and the rows of the last store loaded or saved are kept. A
+    file whose text is the kept text is not parsed: it gets the kept
+    columns and fresh copies of the kept rows, which is what parsing would
+    give, since save_table refuses every table whose store this would
+    reject. Any other text is read through every check, but a row line
+    whose text was kept, under the same granularity, is not parsed again,
+    so reloading a store after an append parses only the new or changed
+    rows. Every check that depends on the rest of the file (col records,
+    col source sets, row order) runs on every row. save_table writes a kept
+    row's text again while the row is unchanged.
     """
-    cursor = _Cursor.open(path, STORE_MAGIC, STORE_VERSION, "table store")
+    path = Path(path)
+    text = read_text(path, MalformedStore, "table store")
+    known_text, known_granularity, known_columns, known = _memory.store
+    if text == known_text:
+        return TemporalTable(granularity=known_granularity, columns=known_columns,
+                             rows={ts: dict(row) for ts, row in known.values()})
+    cursor = _Cursor.open(text, path.name, STORE_MAGIC, STORE_VERSION, "table store")
     granularity = cursor.parse(Granularity, cursor.expect_field("granularity"), "granularity",
                                lambda g: g.value)
-    columns = tuple(_parse_column(fields, cursor) for fields in cursor.records("columns", "col", 5))
-    sources: dict[str, set[str]] = {column.metric: set() for column in columns}
-    known_granularity, _, known = _memory.rows
+    sources: dict[str, set[str]] = {}
+    columns = []
+    for fields in cursor.records("columns", "col", 5):
+        column = _parse_column(fields, cursor)
+        if column.metric in sources:
+            cursor.fail(f"duplicate col for metric {column.metric!r}")
+        sources[column.metric] = set()
+        columns.append(column)
     if known_granularity is not granularity:
         known = {}
     parsed: dict[str, tuple[TimeSlice, dict[str, Cell]]] = {}
     rows: dict[TimeSlice, dict[str, Cell]] = {}
     previous: dt.date | None = None
     for _ in range(cursor.expect_count("rows")):
-        text = cursor.expect_field("row")
-        parsed_row = known.get(text)
+        line = cursor.expect_field("row")
+        parsed_row = known.get(line)
         if parsed_row is None:
-            parsed_row = _parse_row(text.split("|"), granularity, sources, cursor)
+            parsed_row = _parse_row(line.split("|"), granularity, sources, cursor)
         else:  # a known line: check and gather what _parse_row would against this file
             for metric, cell in parsed_row[1].items():
                 cell_sources = _column_sources(sources, metric, cursor)
                 for entry in cell.entries:
                     cell_sources.add(entry.source)
-        ts, row = parsed[text] = parsed_row
+        ts, row = parsed[line] = parsed_row
         # add_report re-sorts only the rows it touches, so loaded rows must be canonical
         if previous is not None and ts.start_date <= previous:
             if ts.start_date == previous:
@@ -647,7 +680,8 @@ def load_table(path: str | Path) -> TemporalTable:
             cursor.fail(f"col {column.metric!r} names sources {sorted(column.source_reports)}, "
                         f"its cells come from {sorted(sources[column.metric])}")
     cursor.end()
-    _memory.rows = (granularity, columns, parsed)
+    columns = tuple(columns)
+    _memory.store = (text, granularity, columns, parsed)
     return TemporalTable(granularity=granularity, columns=columns, rows=rows)
 
 
@@ -663,15 +697,17 @@ class _Cursor:
         self.pos = 0
 
     @classmethod
-    def open(cls, path: str | Path, magic: str, version: int, what: str) -> _Cursor:
-        """Read a file and check its `<magic> <version>` line; `what` names the format."""
-        path = Path(path)
-        cursor = cls(read_text(path, MalformedStore, what), path.name)
+    def open(cls, text: str, name: str, magic: str, version: int, what: str) -> _Cursor:
+        """A cursor on the text of file `name`, past its checked `<magic> <version>` line.
+
+        `what` names the format.
+        """
+        cursor = cls(text, name)
         found, sep, version_text = cursor.next().partition(" ")
         if found != magic or not sep:
-            raise MalformedStore(f"{path.name}: not a chronofuse {what}")
+            raise MalformedStore(f"{name}: not a chronofuse {what}")
         if cursor.parse(int, version_text, f"{what} version", str) != version:
-            raise VersionMismatch(f"{path.name}: unsupported {what} version {version_text!r}")
+            raise VersionMismatch(f"{name}: unsupported {what} version {version_text!r}")
         return cursor
 
     def next(self) -> str:
@@ -795,6 +831,14 @@ def _parse_range(text: str, unit: str, cursor: _Cursor) -> RefRange:
         cursor.fail(f"bad reference range {text!r}: {exc}")
 
 
+def _range_text(rng: RefRange) -> str:
+    """`low..high` as the savers write a reference range; refuses bounds that are not floats."""
+    for bound in (rng.low, rng.high):
+        if type(bound) is not float:  # repr writes an int or a bool without a '.'
+            raise ValueError(f"reference range bound {bound!r} is not a float")
+    return f"{rng.low!r}..{rng.high!r}"
+
+
 def _finite_float(text: str, what: str, cursor: _Cursor) -> float:
     """A float as repr() writes it; nan and the infinities, which no saver writes, fail."""
     value = cursor.parse(float, text, what, repr)
@@ -830,7 +874,7 @@ def save_observations(
         rng = ranges[metric]
         for token, what in ((metric, "metric"), (rng.unit, "range unit")):
             _writable_token(token, what)
-        lines.append(f"range {metric}|{rng.low!r}..{rng.high!r}|{rng.unit}")
+        lines.append(f"range {metric}|{_range_text(rng)}|{rng.unit}")
     lines.append(f"observations {len(observations)}")
     writable: set[str] = set()  # a handful of names repeat over every observation
     for obs in observations:
@@ -838,6 +882,8 @@ def save_observations(
             if token not in writable:
                 writable.add(_writable_token(token, what))
         _check_finite(obs)  # load_observations rejects non-finite values
+        if type(obs.value) is not float:  # and an int or a bool, which repr writes without a '.'
+            raise ValueError(f"value {obs.value!r} for {obs.metric} from {obs.source} is not a float")
         flags = ",".join(sorted(obs.flags))
         lines.append(
             f"obs {obs.source}|{obs.metric}|{obs.value!r}|{obs.unit}|{obs.time.isoformat()}|{flags}"
@@ -848,7 +894,9 @@ def save_observations(
 
 def load_observations(path: str | Path) -> tuple[list[Observation], dict[str, RefRange]]:
     """Read an observation archive back; inverse of save_observations."""
-    cursor = _Cursor.open(path, ARCHIVE_MAGIC, ARCHIVE_VERSION, "observation archive")
+    path, what = Path(path), "observation archive"
+    cursor = _Cursor.open(read_text(path, MalformedStore, what), path.name, ARCHIVE_MAGIC,
+                          ARCHIVE_VERSION, what)
     ranges: dict[str, RefRange] = {}
     for metric, rng_text, rng_unit in cursor.records("ranges", "range", 3):
         if ranges and metric <= next(reversed(ranges)):  # written in metric order, once each

@@ -8,6 +8,7 @@ from chronofuse import (
     ChartKind,
     Normalization,
     RefRange,
+    Series,
     build_line_chart,
     build_radial_bar_chart,
     build_radial_chart,
@@ -339,10 +340,20 @@ def test_spec_text_golden(small_table):
         ("s glucose|none||", "s glucose|none|"),
         ("0.0:90.0 ", "0.0:ninety "),
         ("0.0:90.0 ", "0.0 "),
+        ("1.0:110.0", "nan:110.0"),
+        ("2.0:100.0", "inf:100.0"),
     ],
-    ids=["unknown-kind", "slots", "series", "palette", "field-count", "point-value", "point-form"],
+    ids=["unknown-kind", "slots", "series", "palette", "field-count", "point-value", "point-form",
+         "point-t-nan", "point-t-inf"],
 )
 def test_spec_from_text_rejects_bad_records(record, bad):
     assert record in SPEC_TEXT
     with pytest.raises(MalformedStore):
         spec_from_text(SPEC_TEXT.replace(record, bad, 1))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_series_refuses_a_non_finite_t(t):
+    # every comparison with NaN is false, so the order check alone lets a NaN t through
+    with pytest.raises(ValueError, match="non-finite t"):
+        Series("glucose", ((0.0, 0.2), (t, 0.5), (2.0, 0.9)))

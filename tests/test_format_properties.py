@@ -5,11 +5,13 @@ re-saves to the same bytes, and the four loaders raise nothing but
 ChronofuseError on arbitrary text or on a valid file with one line
 mutated; a mutated store, archive or chart spec that loads re-saves to
 its own bytes. What load_table returns for a file does not depend on the store
-it loaded before, and what save_table writes does not depend on it either;
-neither does what rebucket returns depend on the table it rebucketed before.
+it loaded or saved before, and what save_table writes does not depend on it
+either; neither does what rebucket returns depend on the table it rebucketed
+before.
 """
 
 import datetime as dt
+import operator
 import string
 import sys
 import tempfile
@@ -25,6 +27,7 @@ from chronofuse import (
     Cell,
     CellEntry,
     ChartKind,
+    ColumnDescriptor,
     ChartSpec,
     Granularity,
     Normalization,
@@ -44,7 +47,7 @@ from chronofuse import (
     spec_from_text,
     spec_to_text,
 )
-from chronofuse.errors import ChronofuseError, MalformedStore
+from chronofuse.errors import ChronofuseError, MalformedStore, OutputWriteError
 from chronofuse.ingest import FLAG_OUT_OF_RANGE, FLAG_UNIT_MISMATCH, RefRange
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -56,11 +59,13 @@ ANY_NAME = st.text(max_size=6)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 DATES = st.dates(dt.date(1, 1, 8), dt.date(9999, 12, 1))
+# A few weeks: rows with several metrics and cells with several entries.
+NEAR_DATES = st.dates(dt.date(2021, 1, 1), dt.date(2021, 2, 28))
 
 
 @st.composite
-def time_points(draw):
-    date = draw(DATES)
+def time_points(draw, dates=DATES):
+    date = draw(dates)
     if draw(st.booleans()):
         return TimePoint.day(date)
     return TimePoint.minute(date, dt.time(draw(st.integers(0, 23)), draw(st.integers(0, 59))))
@@ -73,7 +78,7 @@ def ref_ranges(draw, units):
 
 
 @st.composite
-def observation_sets(draw, names):
+def observation_sets(draw, names, dates=DATES):
     """Observations over a few metrics and sources, and ranges for some of the metrics."""
     metrics = draw(st.lists(names, min_size=1, max_size=4, unique=True))
     units = {metric: draw(st.just("") | names) for metric in metrics}
@@ -86,7 +91,7 @@ def observation_sets(draw, names):
             metric=metric,
             value=draw(st.sampled_from([0.0, -0.0]) | FINITE),
             unit=draw(st.sampled_from(["", units[metric]])),
-            time=draw(time_points()),
+            time=draw(time_points(dates)),
             source=draw(st.sampled_from(sources)),
             flags=flags,
         ))
@@ -117,6 +122,10 @@ def reloaded(load, data: bytes):
 NAME_SETS = st.booleans().flatmap(
     lambda plain: st.tuples(st.just(plain), observation_sets(PLAIN_NAME if plain else ANY_NAME))
 )
+NEAR_NAME_SETS = st.booleans().flatmap(
+    lambda plain: st.tuples(st.just(plain),
+                            observation_sets(PLAIN_NAME if plain else ANY_NAME, NEAR_DATES))
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -128,6 +137,8 @@ def test_store_round_trip_is_exact(case, granularity):
     if data is None:
         assert not plain, "the store refused plain names"
         return
+    # a load right after the save returns what the save remembered; parse the text instead
+    reloaded(load_table, UNRELATED_STORE)
     loaded = reloaded(load_table, data)
     assert loaded == table
     assert saved(save_table, loaded) == data
@@ -340,6 +351,87 @@ def test_store_loads_the_same_whatever_was_loaded_before(data):
     assert outcomes[2] == outcomes[0]
 
 
+# Tables no fuse builds: (edit, whether save_table must refuse every table it gives).
+def _with_rows(table, rows):
+    return replace(table, rows={ts: dict(row) for ts, row in rows})
+
+
+def _one_cell(table, data):
+    ts = data.draw(st.sampled_from(list(table.rows)), label="row")
+    return ts, data.draw(st.sampled_from(sorted(table.rows[ts])), label="metric")
+
+
+def _int_value(table, data):
+    ts, metric = _one_cell(table, data)
+    rows = _with_rows(table, table.rows.items()).rows
+    entries = rows[ts][metric].entries
+    value = data.draw(st.sampled_from([0, 1, -3, True, False]), label="value")
+    rows[ts][metric] = Cell((CellEntry(value, entries[0].source), *entries[1:]))
+    return replace(table, rows=rows)
+
+
+def _negative_zero(table, data):
+    ts, metric = _one_cell(table, data)
+    rows = _with_rows(table, table.rows.items()).rows
+    rows[ts][metric] = Cell((CellEntry(-0.0, rows[ts][metric].entries[0].source),))
+    sources = {metric: set() for metric in table.metrics}  # the column keeps only what its cells have
+    for row in rows.values():
+        for name, cell in row.items():
+            sources[name].update(entry.source for entry in cell.entries)
+    return replace(table, rows=rows, columns=tuple(
+        replace(c, source_reports=frozenset(sources[c.metric])) for c in table.columns))
+
+
+def _int_bounds(table, data):
+    at = data.draw(st.integers(0, len(table.columns) - 1), label="column")
+    low = data.draw(st.integers(-5, 5), label="low")
+    columns = list(table.columns)
+    columns[at] = replace(columns[at], reference_range=RefRange(low, low + data.draw(
+        st.sampled_from([1, 2.5]), label="width")))
+    return replace(table, columns=tuple(columns))
+
+
+TABLE_EDITS = {
+    "none": (lambda table, data: table, False),
+    "columns reversed": (lambda table, data: replace(table, columns=table.columns[::-1]), False),
+    "a column twice": (lambda table, data: replace(
+        table, columns=(*table.columns, data.draw(st.sampled_from(table.columns)))), True),
+    "row keys reversed": (lambda table, data: _with_rows(
+        table, ((ts, dict(reversed(row.items()))) for ts, row in table.rows.items())), False),
+    "rows reversed": (lambda table, data: _with_rows(table, reversed(table.rows.items())), None),
+    "negative zero": (_negative_zero, False),
+    "int or bool value": (_int_value, True),
+    "int range bounds": (_int_bounds, True),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(NAME_SETS | NEAR_NAME_SETS, st.sampled_from(list(Granularity)),
+       st.sampled_from(sorted(TABLE_EDITS)), st.data())
+def test_a_load_after_a_save_equals_a_load_that_parses(case, granularity, edit, data):
+    plain, (observations, ranges) = case
+    change, refused = TABLE_EDITS[edit]
+    table = change(fuse(observations, granularity, ranges=ranges)[0], data)
+    if edit == "rows reversed":
+        refused = len(table.rows) > 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.txt"
+        try:
+            save_table(table, path)
+        except ValueError:
+            assert refused or not plain, f"save_table refused a table with {edit}"
+            return
+        assert not refused, f"save_table wrote a table with {edit}"
+        written = path.read_bytes()
+        warm = load_table(path)
+        reloaded(load_table, UNRELATED_STORE)  # the public way to have the next load parse
+        cold = load_table(path)
+    assert warm == cold
+    assert warm.columns == cold.columns and type(warm.columns) is tuple
+    assert repr(warm.rows) == repr(cold.rows)  # row order, metric order, types, -0.0
+    assert saved(save_table, warm) == saved(save_table, cold) == written
+
+
 def _swap_first_rows(text: str) -> str:
     lines = text.splitlines(keepends=True)
     first = next(i for i, line in enumerate(lines) if line.startswith("row "))
@@ -452,6 +544,80 @@ def test_saves_in_threads_write_their_own_table(tmp_path):
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=save_each, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def _cells(table):
+    return [cell for row in table.rows.values() for cell in row.values()]
+
+
+def test_a_saved_store_edited_on_disk_is_read_through_every_check(tmp_path):
+    path = tmp_path / "table.txt"
+    day = dt.date(2021, 1, 4)
+    table, _ = fuse([Observation("a", 1.5, "", TimePoint.day(day + dt.timedelta(days=k)), "r1")
+                     for k in range(3)], Granularity.DAY)
+    save_table(table, path)
+    written = path.read_bytes()
+    path.write_bytes(written.replace(b"a=1.5@", b"a=1.50@", 1))
+    with pytest.raises(MalformedStore, match=r"table.txt:6: bad cell value '1.50'"):
+        load_table(path)
+    # the saved bytes again: the saved cells come back, not parsed again
+    path.write_bytes(written)
+    assert all(map(operator.is_, _cells(load_table(path)), _cells(table)))
+    path.write_bytes(written.replace(b"a=1.5@", b"a=2.5@", 1))  # an edit that loads is read
+    edited = load_table(path)
+    assert [cell.values for cell in _cells(edited)] == [(2.5,), (1.5,), (1.5,)]
+    assert saved(save_table, edited) == path.read_bytes()
+
+
+def test_a_failed_save_leaves_what_the_next_load_remembers(tmp_path):
+    path, directory = tmp_path / "table.txt", tmp_path / "dir"
+    directory.mkdir()
+    first, second = (fuse([Observation("a", value, "", TimePoint.day(dt.date(2021, 1, 4)), "r1")],
+                          Granularity.DAY)[0] for value in (1.5, 2.5))
+    second_bytes = saved(save_table, second)
+    save_table(first, path)
+    with pytest.raises(OutputWriteError):
+        save_table(second, directory)
+    with pytest.raises(ValueError):
+        save_table(replace(second, columns=(*second.columns, ColumnDescriptor("c|d"))), path)
+    assert all(map(operator.is_, _cells(load_table(path)), _cells(first)))
+    path.write_bytes(second_bytes)  # what the failed saves would have written: parsed, not theirs
+    loaded = load_table(path)
+    assert loaded == second
+    assert not any(map(operator.is_, _cells(loaded), _cells(second)))
+
+
+def test_saves_and_loads_in_threads_get_their_own_table(tmp_path):
+    weekly = VALID["store"].encode("utf-8")
+    # the same row lines under two granularities: a slice of one must not reach the other
+    stores = [weekly, weekly.replace(b"granularity week", b"granularity day")]
+    tables = [reloaded(load_table, data) for data in stores]
+    rows = [repr(table.rows) for table in tables]
+    wrong = []
+
+    def save_and_load_each(offset):
+        path = tmp_path / f"table{offset}.txt"
+        for i in range(20):
+            k = (i + offset) % 2
+            save_table(tables[k], path)
+            loaded = load_table(path)
+            if loaded != tables[k] or repr(loaded.rows) != rows[k]:
+                wrong.append(("loaded", k))
+            if path.read_bytes() != stores[k]:
+                wrong.append(("saved", k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=save_and_load_each, args=(n,)) for n in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:

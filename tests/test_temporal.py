@@ -746,6 +746,7 @@ NOT_WRITTEN = {
     "store-unit-reserved": ("store", "col b||||r1\n", "col b|m@g|||r1\n"),
     "store-report-id-reserved": ("store", "r2", "r=2"),
     "store-range-unit-without-range": ("store", "col b||||r1\n", "col b|||mg|r1\n"),
+    "store-col-duplicate": ("store", "columns 2\n", "columns 3\ncol b||||r1\n"),
     "archive-value-trailing-zero": ("archive", "|1.5|", "|1.50|"),
     "archive-time-short": ("archive", "09:05", "9:5"),
     "archive-time-underscore": ("archive", "09:05", "0_9:05"),
@@ -1049,3 +1050,46 @@ def test_save_table_refuses_a_column_naming_a_report_id_no_cell_has(tmp_path):
     with pytest.raises(ValueError, match=r"column 'a' names report ids \['r2'\]"):
         save_table(table, path)
     assert path.read_bytes() == saved
+
+
+# --- the savers refuse numbers their loaders would read as another type ---
+
+
+@pytest.mark.parametrize("value", [1, True], ids=["int", "bool"])
+def test_save_table_refuses_a_cell_value_that_is_not_a_float(tmp_path, value):
+    table = hand_table({"2021-01-01": {"a": [(1.0, "r1")]}, "2021-01-02": {"a": [(value, "r1")]}})
+    assert_refused(tmp_path, table, ValueError,
+                   rf"slice 2021-01-02 metric 'a' has value {value!r} from r1, which is not a float")
+
+
+@pytest.mark.parametrize("rng", [RefRange(1, 2), RefRange(1.0, 2), RefRange(False, 2.0)],
+                         ids=["ints", "int-high", "bool-low"])
+def test_savers_refuse_a_reference_range_bound_that_is_not_a_float(tmp_path, rng):
+    table, _ = fuse([obs("a", 1.5, "2021-01-01")], ranges={"a": rng})
+    assert_refused(tmp_path, table, ValueError, r"reference range bound .* is not a float")
+    with pytest.raises(ValueError, match=r"reference range bound .* is not a float"):
+        save_observations([obs("a", 1.5, "2021-01-01")], tmp_path / "o.txt", ranges={"a": rng})
+    assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize("value", [1, True], ids=["int", "bool"])
+def test_save_observations_refuses_a_value_that_is_not_a_float(tmp_path, value):
+    with pytest.raises(ValueError, match=rf"value {value!r} for a from r1 is not a float"):
+        save_observations([obs("a", 1.5, "2021-01-01"), obs("a", value, "2021-01-02")],
+                          tmp_path / "o.txt")
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_save_table_refuses_a_slice_start_that_is_not_a_date(tmp_path):
+    table = hand_table({"2021-01-01": {"a": [(1.0, "r1")]}})
+    start = TimePoint.day(dt.datetime(2021, 1, 2))  # isoformat would write 2021-01-02T00:00:00
+    table.rows[replace(next(iter(table.rows)), start=start)] = {"a": cell((2.0, "r1"))}
+    assert_refused(tmp_path, table, ValueError, r"slice start datetime.datetime\(2021, 1, 2, 0, 0\) is not a date")
+
+
+def test_save_table_refuses_a_column_that_comes_twice(tmp_path):
+    table = hand_table({"2021-01-01": {"a": [(1.0, "r1"), (2.0, "r2")]}})
+    column = table.columns[0]
+    # as the loader checks each col record against the cells, the first would not load
+    for columns in ((replace(column, source_reports=frozenset({"r1"})), column), (column, column)):
+        assert_refused(tmp_path, replace(table, columns=columns), ValueError, r"column 'a' comes twice")
