@@ -71,11 +71,6 @@ class TimePoint:
 
     date: dt.date
     time_of_day: dt.time | None = None
-    granularity: Resolution = Resolution.DAY
-
-    def __post_init__(self):
-        if (self.time_of_day is not None) != (self.granularity is Resolution.MINUTE):
-            raise ValueError("granularity must be minute iff time_of_day is present")
 
     @classmethod
     def day(cls, date: dt.date) -> "TimePoint":
@@ -83,7 +78,11 @@ class TimePoint:
 
     @classmethod
     def minute(cls, date: dt.date, time_of_day: dt.time) -> "TimePoint":
-        return cls(date=date, time_of_day=time_of_day, granularity=Resolution.MINUTE)
+        return cls(date=date, time_of_day=time_of_day)
+
+    @property
+    def granularity(self) -> Resolution:
+        return Resolution.DAY if self.time_of_day is None else Resolution.MINUTE
 
     @property
     def sort_key(self) -> tuple[dt.date, dt.time]:
@@ -198,7 +197,6 @@ class ReportDocument:
     source_path: str
     lines: list[str]
     format: ReportFormat
-    patient_id: str | None = None
 
 
 def _validate_name(name: str, what: str) -> None:

@@ -69,23 +69,22 @@ class DeviceProfile:
     device_class: DeviceClass
     width_px: float
     height_px: float
-    dpi: float
     min_font_px: float
     max_blank_ratio: float = 0.85
 
     def __post_init__(self):
-        sizes = (self.width_px, self.height_px, self.dpi, self.min_font_px)
+        sizes = (self.width_px, self.height_px, self.min_font_px)
         if not all(0 < n <= MAX_PROFILE_SIZE for n in sizes):
-            raise ValueError(f"profile dimensions, dpi, and min font must be finite and in "
+            raise ValueError(f"profile dimensions and min font must be finite and in "
                              f"(0, {MAX_PROFILE_SIZE}]")
         if not 0 < self.max_blank_ratio <= 1:
             raise ValueError("max_blank_ratio must be in (0, 1]")
 
 
 DEFAULT_PROFILES = {
-    DeviceClass.MONITOR: DeviceProfile(DeviceClass.MONITOR, 1920, 1080, 96, 12),
-    DeviceClass.TABLET: DeviceProfile(DeviceClass.TABLET, 820, 1180, 264, 12),
-    DeviceClass.PHONE: DeviceProfile(DeviceClass.PHONE, 390, 844, 460, 10),
+    DeviceClass.MONITOR: DeviceProfile(DeviceClass.MONITOR, 1920, 1080, 12),
+    DeviceClass.TABLET: DeviceProfile(DeviceClass.TABLET, 820, 1180, 12),
+    DeviceClass.PHONE: DeviceProfile(DeviceClass.PHONE, 390, 844, 10),
 }
 
 

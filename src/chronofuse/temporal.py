@@ -9,13 +9,11 @@ entries by source, value, then sign) so that fusion is order-independent.
 
 from __future__ import annotations
 
-import contextlib
 import datetime as dt
 import math
 import operator
 import os
 import sys
-import tempfile
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -63,7 +61,7 @@ class TimeSlice:
     def __post_init__(self):
         aligned = slice_start(self.start.date, self.granularity)
         if self.start.date != aligned or self.start.time_of_day is not None:
-            raise ValueError(f"slice start {self.start} not aligned to {self.granularity.value}")
+            raise ValueError(f"slice start {self.start.isoformat()} not aligned to {self.granularity.value}")
 
     @property
     def start_date(self) -> dt.date:
@@ -204,6 +202,8 @@ def _merge_unit(units: dict[str, str], metric: str, unit: str) -> None:
 
 
 def _check_finite(obs: Observation) -> None:
+    if type(obs.value) is not float:  # an int or a bool, which repr writes without a '.'
+        raise ValueError(f"value {obs.value!r} for {obs.metric} from {obs.source} is not a float")
     if not math.isfinite(obs.value):
         raise NonFiniteValue(f"non-finite value for {obs.metric} from {obs.source}")
 
@@ -350,8 +350,8 @@ def rebucket(table: TemporalTable, granularity: Granularity) -> TemporalTable:
     """Re-key a table to a coarser (or equal) granularity.
 
     The output rows of the last call are kept, by slice start, with the
-    dates, metrics and cells of the input rows each was built from. An
-    output slice whose input rows have the same dates and the same metrics
+    metrics and cells of the input rows each was built from: all an output
+    row depends on. An output slice whose input rows have the same metrics
     in the same order, with every cell the identical object (`is`, not
     `==`: `0.0 == -0.0`), gets its kept row back; only the other slices are
     accumulated again, so after an append only the touched slice is
@@ -367,33 +367,32 @@ def rebucket(table: TemporalTable, granularity: Granularity) -> TemporalTable:
         )
     if granularity is table.granularity:
         return table
-    groups: dict[dt.date, tuple[list[dt.date], list[dict[str, Cell]]]] = {}  # by output slice
+    groups: dict[dt.date, list[dict[str, Cell]]] = {}  # input rows by output slice
     start = end = None
     for ts, row in table.rows.items():
         day = ts.start.date
         if end is None or not start <= day < end:  # rows are usually in date order: few lookups
             start = slice_start(day, granularity)
             end = _slice_end(start, granularity)
-            days, rows = groups.setdefault(start, ([], []))
-        days.append(day)
+            rows = groups.setdefault(start, [])
         rows.append(row)
     known_granularity, known = _memory.buckets
     if known_granularity is not granularity:
         known = {}
     acc = _Accumulator(granularity, table.columns)
     buckets: dict[dt.date, _Bucket] = {}
-    missed: dict[dt.date, tuple[list[dt.date], tuple[str, ...], tuple[Cell, ...]]] = {}
-    for start, (days, rows) in groups.items():
+    missed: dict[dt.date, tuple[tuple[str, ...], tuple[Cell, ...]]] = {}
+    for start, rows in groups.items():
         metrics = tuple(chain.from_iterable(rows))
         cells = tuple(chain.from_iterable(row.values() for row in rows))
         kept = known.get(start)
-        if (kept is not None and kept.days == days and kept.metrics == metrics
+        if (kept is not None and kept.metrics == metrics
                 # as many cells as metrics; `is`, not ==: 0.0 == -0.0
                 and all(map(operator.is_, kept.cells, cells))):
             buckets[start] = kept
         else:
             acc.add_rows(start, rows)
-            missed[start] = days, metrics, cells
+            missed[start] = metrics, cells
     built = acc.table()
     for ts, row in built.rows.items():
         buckets[ts.start.date] = _Bucket(*missed[ts.start.date], ts, row)
@@ -582,10 +581,9 @@ def _add_sources(sources: defaultdict[str, set[str]], row: Mapping[str, Cell]) -
 
 
 class _Bucket(NamedTuple):
-    """An output slice of rebucket and the input rows it was built from."""
+    """An output slice of rebucket and the input cells it was built from."""
 
-    days: list[dt.date]  # the dates of the input rows
-    metrics: tuple[str, ...]  # their metrics and cells, row after row
+    metrics: tuple[str, ...]  # the input rows' metrics and cells, row after row
     cells: tuple[Cell, ...]
     ts: TimeSlice
     row: dict[str, Cell]
@@ -881,9 +879,7 @@ def save_observations(
         for token, what in ((obs.source, "report id"), (obs.metric, "metric"), (obs.unit, "unit")):
             if token not in writable:
                 writable.add(_writable_token(token, what))
-        _check_finite(obs)  # load_observations rejects non-finite values
-        if type(obs.value) is not float:  # and an int or a bool, which repr writes without a '.'
-            raise ValueError(f"value {obs.value!r} for {obs.metric} from {obs.source} is not a float")
+        _check_finite(obs)  # load_observations rejects the same values
         flags = ",".join(sorted(obs.flags))
         lines.append(
             f"obs {obs.source}|{obs.metric}|{obs.value!r}|{obs.unit}|{obs.time.isoformat()}|{flags}"
@@ -929,27 +925,20 @@ def _time_point(text: str) -> TimePoint:
 def atomic_write_text(path: Path, text: str) -> None:
     """Write via a temp file and rename, so readers never see partial files.
 
-    The temp file gets a unique name in the target's directory, so two
-    writers never share it, and it is removed if the write fails. The file
-    gets the mode a plain write would give it (0666 less the umask). An
-    OSError becomes an OutputWriteError that names `path`.
+    The temp file is created exclusively under a random name in the
+    target's directory, so two writers never share it and it gets the mode
+    a plain write would (0666 less the umask); it is removed if the write
+    fails after creating it. An OSError becomes an OutputWriteError naming path.
     """
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+        handle = open(tmp, "x", encoding="utf-8")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            with handle:
                 handle.write(text)
-            os.chmod(tmp, 0o666 & ~_umask())
             os.replace(tmp, path)
         except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
+            tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
         raise OutputWriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask

@@ -75,6 +75,18 @@ def test_ingest_report_without_timestamp(tmp_path, lexicon_arg, capsys):
     assert not (out / "observations.txt").exists()  # partial archive not written
 
 
+def test_ingest_two_reports_with_one_id_is_an_error(tmp_path, lexicon_arg, capsys):
+    reports = [tmp_path / "a b.txt", tmp_path / "a_b.txt"]  # both sanitize to id a_b.txt
+    for report in reports:
+        report.write_text("2021-01-01\nGlucose: 100 mg/dL\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["ingest", *map(str, reports), "--lexicon", lexicon_arg, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DuplicateReport: ") and "'a_b.txt'" in err
+    assert not (out / "observations.txt").exists()
+
+
 def test_ingest_missing_lexicon(tmp_path, corpus_args, capsys):
     code = main(["ingest", *corpus_args, "--out", str(tmp_path)])
     assert code == 2
@@ -224,6 +236,16 @@ def test_report_corrupt_store(tmp_path, capsys):
     path = tmp_path / "corrupt.txt"
     path.write_text("chronofuse-table 1\ngranularity day\ncolumns 1\n", encoding="utf-8")
     assert main(["report", str(path)]) == 2
+
+
+def test_report_misaligned_store_row_names_the_date(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    path.write_text("chronofuse-table 1\ngranularity month\ncolumns 1\ncol a||||r1\nrows 1\n"
+                    "row 2021-01-05|a=1.0@r1\nend\n", encoding="utf-8")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: MalformedStore: t.txt:6: slice start 2021-01-05 not aligned to month"
+    ]
 
 
 # --- config ---
@@ -400,7 +422,7 @@ def test_config_rejects_non_finite_profile_fields(value):
         parse_config(f"monitor.width_px = {value}\n")
 
 
-@pytest.mark.parametrize("field", ["width_px", "height_px", "dpi", "min_font_px"])
+@pytest.mark.parametrize("field", ["width_px", "height_px", "min_font_px"])
 def test_config_bounds_profile_sizes_at_16384(field):
     # the legibility grid's memory grows with the area and the font search with the font
     assert getattr(parse_config(f"monitor.{field} = 16384\n").profile(DeviceClass.MONITOR),
@@ -411,12 +433,18 @@ def test_config_bounds_profile_sizes_at_16384(field):
 
 def test_config_accepts_every_profile_field():
     config = parse_config(
-        "phone.width_px = 400\nphone.height_px = 800\nphone.dpi = 300\n"
+        "phone.width_px = 400\nphone.height_px = 800\n"
         "phone.min_font_px = 9\nphone.max_blank_ratio = 0.9\n"
     )
     profile = config.profile(DeviceClass.PHONE)
-    assert (profile.width_px, profile.height_px, profile.dpi) == (400.0, 800.0, 300.0)
+    assert (profile.width_px, profile.height_px) == (400.0, 800.0)
     assert (profile.min_font_px, profile.max_blank_ratio) == (9.0, 0.9)
+
+
+def test_config_has_no_dpi_key():
+    # no layout, emission or legibility step reads a dpi, so a profile has none
+    with pytest.raises(ConfigError, match="unknown profile field 'dpi'"):
+        parse_config("monitor.dpi = 96\n")
 
 
 # --- runtime dependencies ---

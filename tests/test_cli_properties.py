@@ -103,7 +103,7 @@ CONFIG_VALUES = {
     **{
         f"{device}.{field}": PROFILE_SIZE
         for device in ("monitor", "tablet", "phone")
-        for field in ("width_px", "height_px", "dpi", "min_font_px")
+        for field in ("width_px", "height_px", "min_font_px")
     },
     **{f"{device}.max_blank_ratio": BLANK_RATIO for device in ("monitor", "tablet", "phone")},
 }

@@ -150,7 +150,7 @@ def test_render_is_deterministic(line_spec):
 
 def test_render_tiny_panel_fails():
     spec = synthetic_spec(1)
-    profile = DeviceProfile(DeviceClass.MONITOR, 1, 1, 96, 12)
+    profile = DeviceProfile(DeviceClass.MONITOR, 1, 1, 12)
     with pytest.raises(PanelTooSmall):
         render_svg(spec, select_layout(spec, profile), profile)
 
@@ -345,7 +345,7 @@ def test_enlarging_viewport_never_increases_out_of_view(line_spec):
     for factor in (1.0, 1.5, 2.0):
         profile = DeviceProfile(
             DeviceClass.MONITOR, base.width_px * factor, base.height_px * factor,
-            base.dpi, base.min_font_px,
+            base.min_font_px,
         )
         rendered = render_svg(line_spec, select_layout(line_spec, profile), profile)
         counts.append(rendered.diagnostics.out_of_view_marks)

@@ -62,8 +62,8 @@ PROFILES = (
     ("monitor", default_profile(DeviceClass.MONITOR)),
     ("tablet", default_profile(DeviceClass.TABLET)),
     ("phone", default_profile(DeviceClass.PHONE)),
-    ("large-font", DeviceProfile(DeviceClass.MONITOR, 1280, 800, 110, 14, 0.9)),
-    ("tiny", DeviceProfile(DeviceClass.TABLET, 140, 90, 132, 9)),
+    ("large-font", DeviceProfile(DeviceClass.MONITOR, 1280, 800, 14, 0.9)),
+    ("tiny", DeviceProfile(DeviceClass.TABLET, 140, 90, 9)),
 )
 START = dt.date(2020, 1, 6)  # a Monday, so every week slice starts on a row date
 

@@ -287,6 +287,15 @@ def test_rebucket_to_a_finer_granularity_is_a_chronofuse_error():
     assert isinstance(info.value, ChronofuseError)
 
 
+@pytest.mark.parametrize("value", [1, True], ids=["int", "bool"])
+def test_fuse_and_add_report_refuse_a_value_that_is_not_a_float(value):
+    # save_observations refuses it with the same words (see below), so the error shows at the input
+    table, _ = fuse([obs("a", 1.0, "2021-01-01")])
+    for call in (fuse, lambda o: add_report(table, o)):
+        with pytest.raises(ValueError, match=rf"^value {value!r} for a from r1 is not a float$"):
+            call([obs("a", 1.0, "2021-01-02"), obs("a", value, "2021-01-03")])
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_value_in_fuse_or_add_report_is_a_chronofuse_error(bad):
     table, _ = fuse([obs("a", 1.0, "2021-01-01")])
@@ -665,7 +674,31 @@ def delete_row(rows, ts, metric, fused):
     return [o for o in fused if o.time.date != ts.start_date]
 
 
-ROW_EDITS = {"negative zero": negate_zeros, "new metric": add_metric, "delete row": delete_row}
+def move_to_another_day(rows, ts, metric, fused):
+    """Move the cell object to the first other day of its week and month whose row lacks the metric."""
+    day = ts.start_date
+    week = (day + dt.timedelta(days=k - day.weekday()) for k in range(7))
+    target = next((d for d in week if d != day and d.month == day.month
+                   and metric not in rows.get(slice_for(TimePoint.day(d), Granularity.DAY), {})), None)
+    if target is None:
+        return fused
+    rows.setdefault(slice_for(TimePoint.day(target), Granularity.DAY), {})[metric] = rows[ts].pop(metric)
+    if not rows[ts]:
+        del rows[ts]
+    return [replace(o, time=replace(o.time, date=target)) if (o.time.date, o.metric) == (day, metric)
+            else o for o in fused]
+
+
+def move_to_another_metric(rows, ts, metric, fused):
+    """Put the cell object under a metric no row has, in the same place of its row."""
+    name = next(f"m{k}" for k in itertools.count() if not any(f"m{k}" in row for row in rows.values()))
+    rows[ts] = {name if m == metric else m: c for m, c in rows[ts].items()}
+    return [replace(o, metric=name) if (o.time.date, o.metric) == (ts.start_date, metric) else o
+            for o in fused]
+
+
+ROW_EDITS = {"negative zero": negate_zeros, "new metric": add_metric, "delete row": delete_row,
+             "move day": move_to_another_day, "move metric": move_to_another_metric}
 
 
 @settings(max_examples=100, deadline=None)
@@ -690,12 +723,17 @@ def test_rebucket_after_appends_reloads_and_edits_saves_the_same_bytes_as_one_fu
                 rebucket(unrelated, data.draw(st.sampled_from([Granularity.WEEK, Granularity.MONTH])))
             elif step == "other store":
                 load_table(other)
-            elif fused:  # edit one row of the loaded store, keep its columns whole, save it
-                table = load_table(path)
-                ts = data.draw(st.sampled_from(list(table.rows)), label="row")
-                metric = data.draw(st.sampled_from(sorted(table.rows[ts])), label="metric")
-                fused = ROW_EDITS[step](table.rows, ts, metric, fused)
-                table = replace(table, columns=fuse(fused, Granularity.DAY, ranges=RANGES)[0].columns)
+            elif fused:  # edit one row of the table, keep its columns whole, save it
+                if data.draw(st.booleans(), label="reload"):  # else keep the cells rebucket last saw
+                    table = load_table(path)
+                rows = {ts: dict(row) for ts, row in table.rows.items()}
+                ts = data.draw(st.sampled_from(list(rows)), label="row")
+                metric = data.draw(st.sampled_from(sorted(rows[ts])), label="metric")
+                fused = ROW_EDITS[step](rows, ts, metric, fused)
+                columns = fuse(fused, Granularity.DAY, ranges=RANGES)[0].columns
+                # a moved cell may add a row out of date order
+                rows = dict(sorted(rows.items(), key=lambda item: item[0].start_date))
+                table = replace(table, columns=columns, rows=rows)
                 save_table(table, path)
             expected = store_bytes(fuse(fused, granularity, ranges=RANGES)[0])
             assert store_bytes(rebucket(table, granularity)) == expected
@@ -877,13 +915,24 @@ def test_save_onto_a_directory_names_the_path_and_leaves_no_temp_file(tmp_path, 
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
-def test_saved_store_has_the_default_file_mode(tmp_path, weekly_table):
-    mask = os.umask(0o022)
+@pytest.mark.parametrize("mask", [0o022, 0o077], ids=oct)
+def test_saved_files_have_the_default_mode_and_the_umask_is_left_alone(tmp_path, monkeypatch, mask,
+                                                                        weekly_table):
+    # reading the umask means setting it, which races with every other thread's file creation
+    def umask(_):
+        raise AssertionError("os.umask called")
+
+    set_umask = os.umask
+    previous = set_umask(mask)
     try:
+        monkeypatch.setattr(os, "umask", umask)
         save_table(weekly_table, tmp_path / "t.txt")
+        save_observations([obs("a", 1.5, "2021-01-01")], tmp_path / "o.txt")
     finally:
-        os.umask(mask)
-    assert (tmp_path / "t.txt").stat().st_mode & 0o777 == 0o644
+        set_umask(previous)
+    for name in ("t.txt", "o.txt"):  # 0o644 under 0o022: what a plain write gives
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~mask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.txt", "t.txt"]
 
 
 # --- counts and tokens outside the grammar ---
