@@ -9,7 +9,7 @@ values near the periphery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 CHART_MAGIC = "chronofuse-chart"
-CHART_VERSION = 1
+CHART_VERSION = 2
 
 
 class ChartKind(str, Enum):
@@ -71,15 +71,13 @@ class Normalization(str, Enum):
 class Series:
     """One metric's points, already normalized for plotting.
 
-    Points are finite (t, v) with strictly increasing t; out_of_range holds the
-    indices whose normalized value left [0, 1] (never clamped, so
-    clinical excursions stay visible to renderers).
+    Points are finite (t, v) with strictly increasing t; values are never
+    clamped, so clinical excursions stay visible to renderers.
     """
 
     metric: str
     points: tuple[tuple[float, float], ...]
     normalization: Normalization = Normalization.NONE
-    out_of_range: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         # a NaN t would pass the order check below: every comparison with NaN is false
@@ -88,6 +86,13 @@ class Series:
         ts = [t for t, _ in self.points]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError(f"series {self.metric!r} has non-increasing t values")
+
+    @property
+    def out_of_range(self) -> frozenset[int]:
+        """Under reference_range, the indices whose value is below 0 or above 1; else none."""
+        if self.normalization is not Normalization.REFERENCE_RANGE:
+            return frozenset()
+        return frozenset(i for i, (_, v) in enumerate(self.points) if v < 0.0 or v > 1.0)
 
 
 @dataclass(frozen=True)
@@ -106,18 +111,13 @@ class ChartSpec:
 
     kind: ChartKind
     series: tuple[Series, ...]
-    time_range: tuple[str, str]
     slot_labels: tuple[str, ...]
-    palette: tuple[int, ...]
-    angular_slots: int | None = None
 
     def __post_init__(self):
         if not self.series:
             raise ValueError("a chart needs at least one series")
-        if len(set(self.palette)) != len(self.palette):
-            raise ValueError("palette indices must be distinct")
-        if self.kind in (ChartKind.RADIAL_LINE, ChartKind.RADIAL_BAR) and not self.angular_slots:
-            raise ValueError("radial charts need angular_slots")
+        if self.kind in (ChartKind.RADIAL_LINE, ChartKind.RADIAL_BAR) and not self.slot_labels:
+            raise ValueError("radial charts need slot labels")
 
 
 def normalize_series(
@@ -128,8 +128,8 @@ def normalize_series(
 ) -> Series:
     """Normalize raw (t, v) points into a Series.
 
-    reference_range maps low -> 0 and high -> 1 exactly and never clamps;
-    indices landing outside [0, 1] are recorded. min_max maps the series
+    reference_range maps low -> 0 and high -> 1 exactly and never clamps, so
+    indices landing outside [0, 1] show in out_of_range. min_max maps the series
     min -> 0 and max -> 1 (a constant series maps to 0.5). none passes
     values through.
     """
@@ -140,8 +140,7 @@ def normalize_series(
             raise DegenerateRange(f"reference range for {metric or 'series'} has low == high")
         span = ref_range.high - ref_range.low
         points = tuple((t, (v - ref_range.low) / span) for t, v in raw)
-        outside = frozenset(i for i, (_, v) in enumerate(points) if v < 0.0 or v > 1.0)
-        return Series(metric, points, mode, outside)
+        return Series(metric, points, mode)
     if mode is Normalization.MIN_MAX:
         values = [v for _, v in raw]
         lo, hi = min(values), max(values)
@@ -150,8 +149,8 @@ def normalize_series(
         else:
             span = hi - lo
             points = tuple((t, (v - lo) / span) for t, v in raw)
-        return Series(metric, points, mode, frozenset())
-    return Series(metric, tuple((t, v) for t, v in raw), Normalization.NONE, frozenset())
+        return Series(metric, points, mode)
+    return Series(metric, tuple((t, v) for t, v in raw))
 
 
 def line_segments(series: Series) -> list[Segment]:
@@ -283,22 +282,10 @@ def _build_chart(kind, table, metrics, time_range, aggregator, normalization) ->
     if kind is ChartKind.LINE and len(series) != 1:
         kind = ChartKind.COMPOUND_LINE
     labels = tuple(ts.start_date.isoformat() for ts in table.rows)
-    return ChartSpec(
-        kind=kind,
-        series=tuple(series),
-        time_range=(labels[0], labels[-1]),
-        slot_labels=labels,
-        # Distinct indices per series; renderers cycle them through the 8 colors.
-        palette=tuple(range(len(series))),
-        angular_slots=len(labels) if kind in (ChartKind.RADIAL_LINE, ChartKind.RADIAL_BAR) else None,
-    )
+    return ChartSpec(kind, tuple(series), labels)
 
 
 # --- textual serialization (documented field order, diffable goldens) ---
-
-
-def _ints_text(values) -> str:
-    return ",".join(map(str, values))
 
 
 def _points_text(points) -> str:
@@ -308,21 +295,6 @@ def _points_text(points) -> str:
 def _points(text: str) -> tuple[tuple[float, ...], ...]:
     # split(" ") and not split(): two spaces or a trailing one are not what is written
     return tuple(tuple(map(float, point.split(":"))) for point in text.split(" ")) if text else ()
-
-
-def _range_text(bounds: tuple[str, str]) -> str:
-    start, end = bounds
-    # read back by splitting at the first '..', which a start ending in '.' would move
-    if ".." in start or ".." in end or start.endswith(".") or "\n" in start + end:
-        raise ValueError(f"time range {bounds!r} has a bound that contains '..' or a line break, "
-                         f"or a start that ends in '.'")
-    return f"{start}..{end}"
-
-
-def _slots_text(slots: int | None) -> str:
-    if slots == 0:  # 0 is what None is written as
-        raise ValueError("angular_slots 0 reads back as None; give None for no slots")
-    return str(slots or 0)
 
 
 def _labels_text(labels: Sequence[str]) -> str:
@@ -337,10 +309,7 @@ def _labels_text(labels: Sequence[str]) -> str:
 # a field only if the writer gives its text back, so only what spec_to_text writes parses.
 _FIELDS = (
     ("kind", "kind", lambda kind: kind.value, ChartKind),
-    ("time_range", "time_range", _range_text, lambda text: text.partition("..")[::2]),
-    ("slots", "angular_slots", _slots_text, lambda text: int(text) or None),
     ("labels", "slot_labels", _labels_text, _items),
-    ("palette", "palette", _ints_text, lambda text: tuple(map(int, _items(text)))),
 )
 
 
@@ -349,17 +318,15 @@ def spec_to_text(spec: ChartSpec) -> str:
 
     Refuses with ValueError, before writing anything, a spec that
     spec_from_text would not read back equal: a series metric holding a
-    reserved store character (| ; = @ or a line break), a label that is
-    empty or holds ',' or a line break, a time range bound that holds '..'
-    or a line break or a start bound ending in '.', and angular_slots 0.
+    reserved store character (| ; = @ or a line break) and a label that is
+    empty or holds ',' or a line break.
     """
     lines = [f"{CHART_MAGIC} {CHART_VERSION}"]
     lines += [f"{key} {write(getattr(spec, name))}" for key, name, write, _ in _FIELDS]
     lines.append(f"series {len(spec.series)}")
     for s in spec.series:
         _writable_token(s.metric, "metric")
-        outside = _ints_text(sorted(s.out_of_range))
-        lines.append(f"s {s.metric}|{s.normalization.value}|{outside}|{_points_text(s.points)}")
+        lines.append(f"s {s.metric}|{s.normalization.value}|{_points_text(s.points)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -373,14 +340,12 @@ def spec_from_text(text: str) -> ChartSpec:
     fields = {name: cursor.parse(read, cursor.expect_field(key), key, write)
               for key, name, write, read in _FIELDS}
     series = []
-    for metric, norm_text, outside_text, points_text in cursor.records("series", "s", 4):
+    for metric, norm_text, points_text in cursor.records("series", "s", 3):
         cursor.parse(str, metric, "metric", _writable_token)
         normalization = cursor.parse(Normalization, norm_text, "normalization", lambda n: n.value)
-        outside = cursor.parse(lambda t: frozenset(map(int, _items(t))), outside_text,
-                               "out-of-range indices", lambda indices: _ints_text(sorted(indices)))
         points = cursor.parse(_points, points_text, "points", _points_text)
         try:
-            series.append(Series(metric, points, normalization, outside))
+            series.append(Series(metric, points, normalization))
         except ValueError as exc:
             cursor.fail(f"bad series: {exc}")
     cursor.end()

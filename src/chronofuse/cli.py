@@ -178,10 +178,13 @@ def _make_dir(path: Path) -> None:
         raise OutputWriteError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
 
 
-def _load_input_table(path: str, config: Config) -> TemporalTable:
+def _load_input_table(args, config: Config) -> TemporalTable:
+    path = args.input
     first = read_text(Path(path), MalformedStore, "input file").partition("\n")[0].strip()
     if first.startswith(STORE_MAGIC):
-        return load_table(path)
+        # only an explicit --granularity rebuckets a store; the config file's key is for archives
+        table = load_table(path)
+        return rebucket(table, Granularity(args.granularity)) if args.granularity else table
     if not first.startswith(ARCHIVE_MAGIC):
         raise MalformedStore(f"{path} is neither a table store nor an observation archive")
     observations, ranges = load_observations(path)
@@ -192,7 +195,7 @@ def _load_input_table(path: str, config: Config) -> TemporalTable:
 def _build_spec(args) -> tuple[Config, ChartSpec]:
     """The effective config and the chart that the chart flags ask for from `args.input`."""
     config = _load_effective_config(args)
-    table = _load_input_table(args.input, config)
+    table = _load_input_table(args, config)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()] if args.metrics else None
     time_range = None
     if args.time_from or args.time_to:
@@ -254,7 +257,7 @@ def cmd_check(args) -> int:
 
 def cmd_report(args) -> int:
     config = _load_effective_config(args)
-    table = _load_input_table(args.input, config)
+    table = _load_input_table(args, config)
     rows = [
         (FEATURE_MULTIVARIATE, len(table.columns) >= 2),
         (FEATURE_HIGHER_TIME, _probe_higher_time_series(table, config)),

@@ -43,14 +43,15 @@ class Config:
 
 
 def load_config(path: str | Path | None = None) -> Config:
-    """Load a config file, or defaults when neither path nor env var is set."""
+    """Load a config file, less one leading byte order mark; defaults without path or env var."""
     if path is None:
         env = os.environ.get(ENV_CONFIG)
         if not env:
             return Config()
         path = env
     path = Path(path)
-    return parse_config(read_text(path, ConfigError, "config file"), base_dir=path.parent)
+    text = read_text(path, ConfigError, "config file").removeprefix("\ufeff")
+    return parse_config(text, base_dir=path.parent)
 
 
 def parse_config(text: str, base_dir: Path | None = None) -> Config:

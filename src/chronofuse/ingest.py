@@ -216,7 +216,8 @@ def load_report(path: str | Path, format_hint: ReportFormat | None = None) -> Re
 
     The format comes from the extension (.txt, .csv, .rec) unless a hint is
     given. Raises UnknownFormat for unrecognized extensions without a hint
-    and ReportReadError for missing files or non-UTF-8 bytes.
+    and ReportReadError for missing files or non-UTF-8 bytes. One leading
+    byte order mark, as "UTF-8 with BOM" editors write, is dropped.
     """
     path = Path(path)
     fmt = format_hint
@@ -227,7 +228,7 @@ def load_report(path: str | Path, format_hint: ReportFormat | None = None) -> Re
     return ReportDocument(
         report_id=report_id_for(path),
         source_path=str(path),
-        lines=read_text(path, ReportReadError, "report file").splitlines(),
+        lines=read_text(path, ReportReadError, "report file").removeprefix("\ufeff").splitlines(),
         format=fmt,
     )
 
@@ -583,9 +584,9 @@ def _pipe_records(lines: list[str]):
 
 
 def load_lexicon(path: str | Path) -> MetricLexicon:
-    """Parse a lexicon file. Raises InvalidLexicon on any grammar violation."""
+    """Parse a lexicon file, less one leading byte order mark. Raises InvalidLexicon on bad lines."""
     path = Path(path)
-    text = read_text(path, InvalidLexicon, "lexicon file")
+    text = read_text(path, InvalidLexicon, "lexicon file").removeprefix("\ufeff")
     entries: list[LexiconEntry] = []
     for lineno, parts in _pipe_records(text.splitlines()):
         if len(parts) != 4:

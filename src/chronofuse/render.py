@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape
 from .charts import ChartKind, ChartSpec, Normalization, radial_bar_slots, radial_point
 from .errors import PanelTooSmall
 
-# Fixed 8-color cycle; series carry palette indices, colors repeat past 8.
+# Fixed 8-color cycle; series i takes color i, colors repeat past 8.
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
     "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
@@ -408,12 +408,13 @@ def _render_line_panel(emitter, spec, panel, indices, profile, with_x_labels):
 
     for i in indices:
         series = spec.series[i]
-        color = PALETTE[spec.palette[i] % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         pts = [data_xy(t, v) for t, v in series.points]
         if len(pts) > 1:
             emitter.polyline(pts, color)
+        outside = series.out_of_range
         for idx, (x, y) in enumerate(pts):
-            marker = "#d62728" if idx in series.out_of_range else color
+            marker = "#d62728" if idx in outside else color
             emitter.circle(x, y, 2.0, stroke=marker, fill=marker, kind="series_point")
 
     if len(indices) > 1:
@@ -455,7 +456,7 @@ def _render_legend(emitter, spec, indices, frame, font):
     x = frame.x + 8.0
     y = frame.y + 8.0
     for i in indices:
-        color = PALETTE[spec.palette[i] % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         emitter.rect(Rect(x, y, font, font), stroke=color, fill=color, kind="legend_swatch")
         emitter.text(x + font + 6.0, y + 0.8 * font, spec.series[i].metric, font,
                      anchor="start", kind="legend_label")
@@ -464,9 +465,9 @@ def _render_legend(emitter, spec, indices, frame, font):
 
 def _render_radial_panel(emitter, spec, panel, indices, profile, with_x_labels):
     # with_x_labels is unused: a ring has no x axis to share
-    n = spec.angular_slots or len(spec.slot_labels)
+    n = len(spec.slot_labels)
     lo, hi = _value_bounds(spec, indices)
-    max_label = max((len(lbl) for lbl in spec.slot_labels), default=0)
+    max_label = max(len(lbl) for lbl in spec.slot_labels)
     font, region = _fit_panel(emitter, spec, panel, indices, profile, _fit_radial_panel, max_label)
 
     transform = scale_to_viewport(Rect(0, 0, RADIAL_BOX, RADIAL_BOX), region)
@@ -485,7 +486,7 @@ def _render_radial_panel(emitter, spec, panel, indices, profile, with_x_labels):
     if spec.kind is ChartKind.RADIAL_LINE:
         for i in indices:
             series = spec.series[i]
-            color = PALETTE[spec.palette[i] % len(PALETTE)]
+            color = PALETTE[i % len(PALETTE)]
             vertices = []
             for t, v in series.points:
                 angle, radius = radial_point(int(t), n, v, lo, hi, R_INNER, R_OUTER)
@@ -506,13 +507,11 @@ def _render_radial_panel(emitter, spec, panel, indices, profile, with_x_labels):
                 continue
             _, radius = radial_point(slot_idx, n, point[1], lo, hi, R_INNER, R_OUTER)
             start, width = slots[slot_idx * len(indices) + series_pos]
-            color = PALETTE[spec.palette[i] % len(PALETTE)]
+            color = PALETTE[i % len(PALETTE)]
             _emit_sector(emitter, polar_xy, start, start + width, R_INNER, radius, color)
 
     # Four cardinal slot labels (dates) just outside the outer ring.
     for slot in sorted({0, n // 4, n // 2, (3 * n) // 4}):
-        if slot >= len(spec.slot_labels):
-            continue
         angle = 2.0 * math.pi * slot / n
         x, y = polar_xy(angle, R_OUTER)
         x += 10.0 * math.sin(angle)

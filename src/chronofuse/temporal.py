@@ -366,7 +366,8 @@ def rebucket(table: TemporalTable, granularity: Granularity) -> TemporalTable:
             f"cannot rebucket {table.granularity.value} table to {granularity.value}"
         )
     if granularity is table.granularity:
-        return table
+        rows = {ts: dict(row) for ts, row in table.rows.items()}
+        return TemporalTable(granularity, table.columns, rows)
     groups: dict[dt.date, list[dict[str, Cell]]] = {}  # input rows by output slice
     start = end = None
     for ts, row in table.rows.items():

@@ -1,22 +1,28 @@
 import math
 import random
+import re
 
 import pytest
 
 from chronofuse import (
     Aggregator,
     ChartKind,
+    ChartSpec,
+    DeviceClass,
     Normalization,
     RefRange,
     Series,
     build_line_chart,
     build_radial_bar_chart,
     build_radial_chart,
+    default_profile,
     fuse,
     line_segments,
     normalize_series,
     radial_bar_slots,
     radial_point,
+    render_svg,
+    select_layout,
     spec_from_text,
     spec_to_text,
 )
@@ -52,6 +58,13 @@ def test_reference_range_excursion_flagged_not_clamped():
     series = normalize_series(pts(12.0), RANGE, Normalization.REFERENCE_RANGE)
     assert series.points[0][1] == (12.0 - 4.0) / (10.0 - 4.0) == pytest.approx(4.0 / 3.0)
     assert series.out_of_range == {0}
+
+
+def test_out_of_range_flags_only_under_reference_range():
+    assert Series("a", pts(5.0, -2.0, 0.5), Normalization.NONE).out_of_range == frozenset()
+    assert Series("a", pts(5.0, -2.0, 0.5), Normalization.MIN_MAX).out_of_range == frozenset()
+    assert Series("a", pts(5.0, -2.0, 0.5, 0.0, 1.0),
+                  Normalization.REFERENCE_RANGE).out_of_range == {0, 1}
 
 
 def test_reference_range_requires_range():
@@ -165,13 +178,18 @@ def test_line_chart_single_metric(small_table):
     assert len(spec.series) == 1
     assert len(spec.series[0].points) == 3
     assert [t for t, _ in spec.series[0].points] == [0.0, 1.0, 2.0]
-    assert spec.time_range == ("2021-01-01", "2021-01-03")
+    assert (spec.slot_labels[0], spec.slot_labels[-1]) == ("2021-01-01", "2021-01-03")
 
 
 def test_compound_chart_distinct_palette(small_table):
     spec = build_line_chart(small_table, ["glucose", "hba1c", "creatinine"])
     assert spec.kind is ChartKind.COMPOUND_LINE
-    assert len(set(spec.palette)) == 3
+    profile = default_profile(DeviceClass.MONITOR)
+    svg = render_svg(spec, select_layout(spec, profile), profile).svg
+    # one 2 px point marker per data point, stroked in its series' color
+    strokes = re.findall(r'<circle cx="[^"]*" cy="[^"]*" r="2" stroke="([^"]+)"', svg)
+    assert len(strokes) == sum(len(series.points) for series in spec.series)
+    assert len(set(strokes)) == 3
 
 
 def test_unknown_metric(small_table):
@@ -260,7 +278,7 @@ def test_radial_chart_requires_three_slices(small_table):
 
     spec = build_radial_chart(small_table, ["glucose"])
     assert spec.kind is ChartKind.RADIAL_LINE
-    assert spec.angular_slots == 3
+    assert len(spec.slot_labels) == 3
     with pytest.raises(TooFewSlices):
         build_radial_chart(
             small_table,
@@ -273,7 +291,7 @@ def test_radial_chart_constant_series_maps_to_midpoint(lexicon):
     observations = [obs("a", 7.0, f"2021-01-0{i}") for i in range(1, 5)]
     table, _ = fuse(observations)
     spec = build_radial_chart(table, normalization=Normalization.MIN_MAX)
-    assert spec.angular_slots == 4
+    assert len(spec.slot_labels) == 4
     assert len(spec.series[0].points) == 4
     assert all(v == 0.5 for _, v in spec.series[0].points)
 
@@ -295,10 +313,16 @@ def test_radial_bar_slots_two_series():
     assert slots[1][0] - slots[0][0] == pytest.approx(pitch)
 
 
+@pytest.mark.parametrize("kind", [ChartKind.RADIAL_LINE, ChartKind.RADIAL_BAR])
+def test_radial_spec_without_labels_is_refused(kind):
+    with pytest.raises(ValueError, match="slot labels"):
+        ChartSpec(kind, (Series("a", pts(1.0, 2.0, 3.0)),), ())
+
+
 def test_radial_bar_chart(small_table):
     spec = build_radial_bar_chart(small_table, ["glucose", "hba1c"])
     assert spec.kind is ChartKind.RADIAL_BAR
-    assert spec.angular_slots == 3
+    assert len(spec.slot_labels) == 3
     assert len(spec.series) == 2
 
 
@@ -312,14 +336,11 @@ def test_spec_text_round_trip(small_table):
 
 
 SPEC_TEXT = (
-    "chronofuse-chart 1\n"
+    "chronofuse-chart 2\n"
     "kind line\n"
-    "time_range 2021-01-01..2021-01-03\n"
-    "slots 0\n"
     "labels 2021-01-01,2021-01-02,2021-01-03\n"
-    "palette 0\n"
     "series 1\n"
-    "s glucose|none||0.0:90.0 1.0:110.0 2.0:100.0\n"
+    "s glucose|none|0.0:90.0 1.0:110.0 2.0:100.0\n"
     "end\n"
 )
 
@@ -330,20 +351,26 @@ def test_spec_text_golden(small_table):
     assert spec_from_text(SPEC_TEXT) == spec
 
 
+def test_spec_from_text_refuses_version_1():
+    old = ("chronofuse-chart 1\nkind line\ntime_range 2021-01-01..2021-01-03\nslots 0\n"
+           "labels 2021-01-01,2021-01-02,2021-01-03\npalette 0\nseries 1\n"
+           "s glucose|none||0.0:90.0 1.0:110.0 2.0:100.0\nend\n")
+    with pytest.raises(MalformedStore, match="not a chronofuse chart spec"):
+        spec_from_text(old)
+
+
 @pytest.mark.parametrize(
     "record, bad",
     [
         ("kind line", "kind sunburst"),
-        ("slots 0", "slots zero"),
         ("series 1", "series one"),
-        ("palette 0", "palette 0,x"),
-        ("s glucose|none||", "s glucose|none|"),
+        ("s glucose|none|", "s glucose|"),
         ("0.0:90.0 ", "0.0:ninety "),
         ("0.0:90.0 ", "0.0 "),
         ("1.0:110.0", "nan:110.0"),
         ("2.0:100.0", "inf:100.0"),
     ],
-    ids=["unknown-kind", "slots", "series", "palette", "field-count", "point-value", "point-form",
+    ids=["unknown-kind", "series", "field-count", "point-value", "point-form",
          "point-t-nan", "point-t-inf"],
 )
 def test_spec_from_text_rejects_bad_records(record, bad):

@@ -7,7 +7,7 @@ import pytest
 import chronofuse
 from chronofuse import DeviceClass, Granularity, fuse, load_observations, load_table, save_table
 from chronofuse.cli import main
-from chronofuse.config import parse_config
+from chronofuse.config import load_config, parse_config
 from chronofuse.errors import ConfigError
 from conftest import obs
 
@@ -248,6 +248,45 @@ def test_report_misaligned_store_row_names_the_date(tmp_path, capsys):
     ]
 
 
+# --- --granularity on a table store ---
+
+
+def test_granularity_flag_rebuckets_a_store_to_a_coarser_one(tmp_path, store_path, capsys):
+    assert main(["report", str(store_path), "--granularity", "month"]) == 0
+    assert "; granularity=month;" in capsys.readouterr().out
+    assert main(["render", str(store_path), "--granularity", "month", "--out", str(tmp_path)]) == 0
+    assert main(["check", str(store_path), "--granularity", "month"]) == 0
+    monthly = chronofuse.rebucket(load_table(store_path), Granularity.MONTH)
+    points = sum(len(row) for row in monthly.rows.values())  # one marker per monthly cell
+    assert (tmp_path / "line-monitor.svg").read_text(encoding="utf-8").count("<circle") == points
+
+
+def test_granularity_flag_equal_to_the_stores_changes_nothing(tmp_path, store_path, capsys):
+    outputs = []
+    for flag in ([], ["--granularity", "week"]):
+        out = tmp_path / f"out{len(flag)}"
+        assert main(["report", str(store_path), *flag]) == 0
+        assert main(["render", str(store_path), *flag, "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out.replace(str(out), "OUT"),
+                        (out / "line-monitor.svg").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert "; granularity=week;" in outputs[0][0]
+
+
+@pytest.mark.parametrize("verb", ["render", "check", "report"])
+def test_granularity_flag_finer_than_the_stores_exits_2(tmp_path, store_path, capsys, verb):
+    argv = [verb, str(store_path), "--granularity", "day"]
+    assert main(argv + (["--out", str(tmp_path)] if verb == "render" else [])) == 2
+    assert capsys.readouterr().err == "error: FinerGranularity: cannot rebucket week table to day\n"
+
+
+def test_config_granularity_applies_to_archives_only(tmp_path, store_path, capsys):
+    config = tmp_path / "month.cfg"
+    config.write_text("granularity = month\n", encoding="utf-8")
+    assert main(["report", str(store_path), "--config", str(config)]) == 0
+    assert "; granularity=week;" in capsys.readouterr().out
+
+
 # --- config ---
 
 
@@ -363,6 +402,14 @@ def test_ingest_of_a_csv_field_over_the_csv_limit_exits_2(tmp_path, lexicon_arg,
     assert main(["ingest", str(report), "--lexicon", lexicon_arg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "error: ReportReadError: report huge.csv" in err and "internal error" not in err
+
+
+def test_config_file_ignores_a_byte_order_mark(tmp_path):
+    text = "granularity = month\naggregator = median\nmonitor.width_px = 2560\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_config(marked) == load_config(plain) != parse_config("")
 
 
 def test_config_file_that_is_not_utf8_exits_2(tmp_path, store_path, capsys):

@@ -265,18 +265,14 @@ def chart_specs(draw):
     for _ in range(draw(st.integers(1, 3))):
         ts = sorted(set(draw(st.lists(FINITE, max_size=4))))
         series.append(Series(draw(SPEC_FIELD), tuple((t, draw(FINITE)) for t in ts),
-                             draw(st.sampled_from(list(Normalization))),
-                             frozenset(draw(st.lists(st.integers(-3, 10), max_size=3)))))
+                             draw(st.sampled_from(list(Normalization)))))
     try:
         return ChartSpec(
             kind=draw(st.sampled_from(list(ChartKind))),
             series=tuple(series),
-            time_range=(draw(SPEC_FIELD), draw(SPEC_FIELD)),
             slot_labels=tuple(draw(st.lists(SPEC_FIELD, max_size=4))),
-            palette=tuple(draw(st.lists(st.integers(-2, 20), unique=True, max_size=4))),
-            angular_slots=draw(st.none() | st.integers(-2, 400)),
         )
-    except ValueError:  # a radial kind without slots
+    except ValueError:  # a radial kind without labels
         assume(False)
 
 
@@ -300,10 +296,6 @@ UNWRITABLE = {  # a spec field that spec_from_text could not read back, and how 
                lambda spec, bad: replace(spec, series=(replace(spec.series[0], metric=bad),))),
     "label": (_with(",", "\n") | st.just(""),
               lambda spec, bad: replace(spec, slot_labels=(*spec.slot_labels, bad))),
-    "time range start": (_with("..", "\n") | SPEC_NAME.map(lambda text: text + "."),
-                         lambda spec, bad: replace(spec, time_range=(bad, spec.time_range[1]))),
-    "time range end": (_with("..", "\n"),
-                       lambda spec, bad: replace(spec, time_range=(spec.time_range[0], bad))),
 }
 
 

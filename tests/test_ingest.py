@@ -73,6 +73,21 @@ def test_load_report_missing_and_undecodable(tmp_path):
         load_report(bad)
 
 
+def with_byte_order_mark(source, tmp_path):
+    """A copy of `source` saved as "UTF-8 with BOM", as Excel and Notepad write it."""
+    path = tmp_path / source.name
+    path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    return path
+
+
+def test_load_report_ignores_a_byte_order_mark(fixtures_dir, lexicon, tmp_path):
+    plain = load_report(fixtures_dir / "reports" / "report_b.csv")
+    marked = load_report(with_byte_order_mark(fixtures_dir / "reports" / "report_b.csv", tmp_path))
+    assert marked.lines == plain.lines
+    assert extract_observations(marked, lexicon) == extract_observations(plain, lexicon)
+    assert extract_observations(marked, lexicon)[1] == []
+
+
 def test_load_report_csv_extension(tmp_path):
     path = tmp_path / "labs.csv"
     path.write_text("date,metric,value,unit\n", encoding="utf-8")
@@ -330,6 +345,12 @@ def test_load_lexicon_fixture(lexicon):
     entry = lexicon.entry_for("A1C")
     assert entry is not None and entry.canonical == "hba1c"
     assert lexicon.ranges()["glucose"].low == 70.0
+
+
+def test_load_lexicon_ignores_a_byte_order_mark(fixtures_dir, lexicon, tmp_path):
+    # the fixture's first line is a '#' comment, which the mark would otherwise hide
+    marked = load_lexicon(with_byte_order_mark(fixtures_dir / "lexicon.txt", tmp_path))
+    assert marked.entries == lexicon.entries
 
 
 def test_lexicon_rejects_duplicate_canonicals():

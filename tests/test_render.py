@@ -39,9 +39,7 @@ def synthetic_spec(n_series: int, n_points: int = 4) -> ChartSpec:
     return ChartSpec(
         kind=ChartKind_for(n_series),
         series=series,
-        time_range=(labels[0], labels[-1]),
         slot_labels=labels,
-        palette=tuple(range(n_series)),
     )
 
 
@@ -161,9 +159,7 @@ def test_render_escapes_metric_names():
     spiky = ChartSpec(
         kind=spec.kind,
         series=(Series("a<b> & c", series.points, series.normalization),),
-        time_range=spec.time_range,
         slot_labels=spec.slot_labels,
-        palette=spec.palette,
     )
     profile = default_profile(DeviceClass.MONITOR)
     rendered = render_svg(spiky, select_layout(spiky, profile), profile)
@@ -175,9 +171,7 @@ def test_render_single_slice_chart():
     spec = ChartSpec(
         kind=ChartKind_for(1),
         series=(Series("solo", ((0.0, 0.5),), Normalization.MIN_MAX),),
-        time_range=("2021-01-01", "2021-01-01"),
         slot_labels=("2021-01-01",),
-        palette=(0,),
     )
     for device in DeviceClass:
         profile = default_profile(device)

@@ -274,6 +274,18 @@ def test_rebucket_day_to_week(weekly_table, corpus_observations, lexicon):
     assert rebucket(daily, Granularity.DAY) == daily
 
 
+def test_rebucket_to_its_own_granularity_returns_fresh_rows():
+    daily, _ = fuse([obs("a", 1.0, "2021-01-04"), obs("b", 2.0, "2021-01-05", source="r2")])
+    expected = repr(daily)
+    same = rebucket(daily, Granularity.DAY)
+    assert same == daily
+    for row in same.rows.values():  # the returned rows are the caller's to change
+        row["a"] = cell((9.0, "r1"))
+    same.rows.clear()
+    assert repr(daily) == expected
+    assert rebucket(daily, Granularity.DAY) == daily
+
+
 def test_rebucket_refuses_finer():
     table, _ = fuse([obs("a", 1.0, "2021-01-01")], Granularity.MONTH)
     with pytest.raises(ValueError):
@@ -762,8 +774,8 @@ def test_rebucket_rows_stay_the_callers():
 STORE = STORE_HEAD + "rows 1\nrow 2021-01-04|a=1.1@r1;2.0@r2|b=10.0@r1\nend\n"
 ARCHIVE = ("chronofuse-observations 1\nranges 1\nrange a|1.0..2.0|\nobservations 2\n"
            "obs r1|a|1.5||2021-01-05 09:05|\nobs r2|a|2.5||2021-01-06|out_of_range,unit_mismatch\nend\n")
-SPEC = ("chronofuse-chart 1\nkind line\ntime_range 2021-01-04..2021-01-05\nslots 0\n"
-        "labels 2021-01-04,2021-01-05\npalette 1\nseries 1\ns a|none|1|0.0:1.5 1.0:2.0\nend\n")
+SPEC = ("chronofuse-chart 2\nkind line\nlabels 2021-01-04,2021-01-05\n"
+        "series 1\ns a|none|0.0:1.5 1.0:2.0\nend\n")
 NOT_WRITTEN = {
     "store-value-trailing-zero": ("store", "a=1.1@", "a=1.10@"),
     "store-value-plus": ("store", "a=1.1@", "a=+1.1@"),
@@ -780,6 +792,7 @@ NOT_WRITTEN = {
     "store-crlf": ("store", "\n", "\r\n"),
     "store-no-final-newline": ("store", "end\n", "end"),
     "store-after-end": ("store", "end\n", "end\n\n"),
+    "store-byte-order-mark": ("store", "chronofuse-table 1", "\ufeffchronofuse-table 1"),
     "store-version-leading-zero": ("store", "chronofuse-table 1", "chronofuse-table 01"),
     "store-unit-reserved": ("store", "col b||||r1\n", "col b|m@g|||r1\n"),
     "store-report-id-reserved": ("store", "r2", "r=2"),
@@ -792,6 +805,7 @@ NOT_WRITTEN = {
     "archive-date-basic": ("archive", "2021-01-05", "20210105"),
     "archive-flags-unsorted": ("archive", "out_of_range,unit_mismatch", "unit_mismatch,out_of_range"),
     "archive-flags-empty-item": ("archive", "out_of_range,unit_mismatch", "out_of_range,,out_of_range"),
+    "archive-byte-order-mark": ("archive", "chronofuse-observations 1", "\ufeffchronofuse-observations 1"),
     "archive-after-end": ("archive", "end\n", "end\nend\n"),
     "archive-ranges-duplicate": ("archive", "ranges 1\nrange a|1.0..2.0|\n",
                                  "ranges 2\nrange a|1.0..2.0|\nrange a|1.0..3.0|\n"),
@@ -799,12 +813,10 @@ NOT_WRITTEN = {
                                 "ranges 2\nrange b|1.0..2.0|\nrange a|1.0..2.0|\n"),
     "archive-unit-reserved": ("archive", "obs r1|a|1.5||", "obs r1|a|1.5|m;g|"),
     "spec-point-trailing-zero": ("spec", "0.0:1.5", "0.00:1.5"),
-    "spec-palette-plus": ("spec", "palette 1", "palette +1"),
     "spec-labels-empty-item": ("spec", "labels 2021-01-04,2021-01-05", "labels 2021-01-04,,2021-01-05"),
     "spec-no-final-newline": ("spec", "end\n", "end"),
-    "spec-time-range-without-dots": ("spec", "time_range 2021-01-04..2021-01-05", "time_range 2021-01-04"),
+    "spec-byte-order-mark": ("spec", "chronofuse-chart 2", "\ufeffchronofuse-chart 2"),
     "spec-points-two-spaces": ("spec", "0.0:1.5 1.0:2.0", "0.0:1.5  1.0:2.0"),
-    "spec-indices-unsorted": ("spec", "|none|1|", "|none|1,0|"),
 }
 
 
