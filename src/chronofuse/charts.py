@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Sequence
 
 from .errors import (
@@ -116,8 +117,17 @@ class ChartSpec:
     def __post_init__(self):
         if not self.series:
             raise ValueError("a chart needs at least one series")
-        if self.kind in (ChartKind.RADIAL_LINE, ChartKind.RADIAL_BAR) and not self.slot_labels:
-            raise ValueError("radial charts need slot labels")
+        if not self.slot_labels:
+            raise ValueError("a chart needs slot labels")
+        n = len(self.slot_labels)
+        for s in self.series:
+            if not s.points:
+                raise ValueError(f"series {s.metric!r} has no points")
+            # t indexes slot_labels, as every builder gives it; the renderer places points by
+            # it. Series keeps t increasing, so the ends bound it; no t has a fractional part.
+            ts = [t for t, _ in s.points]
+            if ts[0] < 0 or ts[-1] >= n or any(map(math.fmod, ts, repeat(1.0))):
+                raise ValueError(f"series {s.metric!r} has a t that is not a slot index 0..{n - 1}")
 
 
 def normalize_series(

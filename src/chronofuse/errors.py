@@ -86,7 +86,7 @@ class DegenerateRange(ChronofuseError):
 
 
 class DegenerateValueRange(ChronofuseError):
-    """Value range for radial placement has vmin == vmax."""
+    """Value range has vmin == vmax for radial placement, or is too wide to draw."""
 
 
 class UnknownMetric(ChronofuseError):

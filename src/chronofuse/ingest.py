@@ -27,6 +27,13 @@ from .errors import (
 
 FLAG_UNIT_MISMATCH = "unit_mismatch"
 FLAG_OUT_OF_RANGE = "out_of_range"
+# Observation flags by (unit mismatch, out of range), one shared set each.
+_FLAG_SETS = {
+    (False, False): frozenset(),
+    (True, False): frozenset({FLAG_UNIT_MISMATCH}),
+    (False, True): frozenset({FLAG_OUT_OF_RANGE}),
+    (True, True): frozenset({FLAG_UNIT_MISMATCH, FLAG_OUT_OF_RANGE}),
+}
 
 # Decimal with optional sign and fraction; scientific notation is out of scope.
 _NUMBER_RE = re.compile(r"[+-]?\d+(?:\.\d+)?")
@@ -91,7 +98,7 @@ class TimePoint:
     def isoformat(self) -> str:
         if self.time_of_day is None:
             return self.date.isoformat()
-        return f"{self.date.isoformat()} {self.time_of_day.strftime('%H:%M')}"
+        return f"{self.date.isoformat()} {self.time_of_day.hour:02}:{self.time_of_day.minute:02}"
 
 
 @dataclass(frozen=True)
@@ -240,17 +247,21 @@ def load_report(path: str | Path, format_hint: ReportFormat | None = None) -> Re
 #   A/B/YYYY              slash form; A/B order set by the date_order switch
 #   MM-DD-YYYY            dash form with two-digit lead, always month first
 
-_ISO_RE = re.compile(r"(?<!\d)(?P<y>\d{4})-(?P<m>\d{2})-(?P<d>\d{2})(?!\d)")
-_DASH_RE = re.compile(r"(?<!\d)(?P<m>\d{2})-(?P<d>\d{2})-(?P<y>\d{4})(?!\d)")
-_DMY_SLASH_RE = re.compile(r"(?<!\d)(?P<d>\d{2})/(?P<m>\d{2})/(?P<y>\d{4})(?!\d)")
-_MDY_SLASH_RE = re.compile(r"(?<!\d)(?P<m>\d{2})/(?P<d>\d{2})/(?P<y>\d{4})(?!\d)")
-_DATE_FORMS = {
-    DateOrder.DMY: (_ISO_RE, _DMY_SLASH_RE, _DASH_RE),
-    DateOrder.MDY: (_ISO_RE, _MDY_SLASH_RE, _DASH_RE),
+# The three forms in one alternation. No two of them can match at the same
+# start, so the leftmost match with a valid calendar date is the earliest
+# valid date of any form. It starts with a digit, which lets the regex engine
+# skip ahead to digits; the (?<!\d\d) after that digit is the no-digit-before
+# boundary.
+_DATE_RE = re.compile(r"\d(?<!\d\d)(?:\d{3}-\d{2}-\d{2}|\d/\d{2}/\d{4}|\d-\d{2}-\d{4})(?!\d)")
+# (year, month, day) places in a match, by its third character: '/' for the
+# slash form, '-' for the dash form, a digit for ISO.
+_ISO_FIELDS = (slice(0, 4), slice(5, 7), slice(8, 10))
+_MONTH_FIRST = (slice(6, 10), slice(0, 2), slice(3, 5))
+_DATE_FIELDS = {
+    DateOrder.DMY: {"/": (slice(6, 10), slice(3, 5), slice(0, 2)), "-": _MONTH_FIRST},
+    DateOrder.MDY: {"/": _MONTH_FIRST, "-": _MONTH_FIRST},
 }
 _TIME_RE = re.compile(r"[ \t]+(\d{2}):(\d{2})(?!\d)")
-# Every accepted date form contains this, so a line without it has no date.
-_DATE_HINT_RE = re.compile(r"\d{2}[-/]\d{2}")
 
 
 def parse_timestamp(text: str, date_order: DateOrder = DateOrder.DMY) -> TimePoint:
@@ -260,30 +271,32 @@ def parse_timestamp(text: str, date_order: DateOrder = DateOrder.DMY) -> TimePoi
     HH:MM time of day. Raises NoTimestamp when no accepted pattern with a
     valid calendar date occurs.
     """
-    if not _DATE_HINT_RE.search(text):
+    time = _find_timestamp(text, date_order)
+    if time is None:
         raise NoTimestamp(f"no accepted timestamp in {text!r}")
-    candidates: list[tuple[int, dt.date, int]] = []
-    for pattern in _DATE_FORMS[date_order]:
-        for match in pattern.finditer(text):
-            date = _checked_date(int(match["y"]), int(match["m"]), int(match["d"]))
-            if date is not None:
-                candidates.append((match.start(), date, match.end()))
-    if not candidates:
-        raise NoTimestamp(f"no accepted timestamp in {text!r}")
-    start, date, end = min(candidates)
-    time_match = _TIME_RE.match(text, end)
+    return time
+
+
+def _find_timestamp(text: str, date_order: DateOrder) -> TimePoint | None:
+    """parse_timestamp's result, or None where it raises."""
+    fields = _DATE_FIELDS[date_order]
+    match = _DATE_RE.search(text)
+    while match is not None:
+        found = match.group()
+        year, month, day = fields.get(found[2], _ISO_FIELDS)
+        try:
+            date = dt.date(int(found[year]), int(found[month]), int(found[day]))
+            break
+        except ValueError:  # not a calendar date; a valid one of another form may overlap it
+            match = _DATE_RE.search(text, match.start() + 1)
+    else:
+        return None
+    time_match = _TIME_RE.match(text, match.end())
     if time_match:
         hh, mm = int(time_match.group(1)), int(time_match.group(2))
         if hh <= 23 and mm <= 59:
-            return TimePoint.minute(date, dt.time(hh, mm))
-    return TimePoint.day(date)
-
-
-def _checked_date(year: int, month: int, day: int) -> dt.date | None:
-    try:
-        return dt.date(year, month, day)
-    except ValueError:
-        return None
+            return TimePoint(date, dt.time(hh, mm))
+    return TimePoint(date)
 
 
 # --- measurement grammar ---
@@ -465,10 +478,7 @@ def _extract_plain(doc, lexicon, date_order):
     header: TimePoint | None = None
 
     for lineno, line in enumerate(doc.lines, start=1):
-        try:
-            current = parse_timestamp(line, date_order)
-        except NoTimestamp:
-            pass
+        current = _find_timestamp(line, date_order) or current
         if header is None:
             header = current
         match, warning = _scan_line(line, lexicon)
@@ -526,9 +536,8 @@ def _extract_rows(doc, rows, lexicon, date_order, wrong_count: str):
 def _explicit_row(fields, lexicon, date_order, report_id):
     """Shared row logic for formats carrying explicit date/metric/value/unit."""
     raw_date, raw_metric, raw_value, raw_unit = (f.strip() for f in fields)
-    try:
-        time = parse_timestamp(raw_date, date_order)
-    except NoTimestamp:
+    time = _find_timestamp(raw_date, date_order)
+    if time is None:
         return None, f"unparseable date {raw_date!r}"
     entry = lexicon.entry_for(raw_metric)
     if entry is None:
@@ -551,19 +560,15 @@ def _explicit_row(fields, lexicon, date_order, report_id):
 
 def _to_observation(match: _Match, time: TimePoint, report_id: str) -> Observation:
     entry, value, unit, unit_mismatch = match
-    flags = set()
-    if unit_mismatch:
-        flags.add(FLAG_UNIT_MISMATCH)
     rng = entry.reference_range
-    if rng is not None and not rng.contains(value):
-        flags.add(FLAG_OUT_OF_RANGE)
+    out_of_range = rng is not None and not rng.contains(value)
     return Observation(
         metric=entry.canonical,
         value=value,
         unit=unit,
         time=time,
         source=report_id,
-        flags=frozenset(flags),
+        flags=_FLAG_SETS[unit_mismatch, out_of_range],
     )
 
 

@@ -10,13 +10,13 @@ SVG, so the checks never need to parse or rasterize anything.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
 from enum import Enum
-from xml.sax.saxutils import escape
 
 from .charts import ChartKind, ChartSpec, Normalization, radial_bar_slots, radial_point
-from .errors import PanelTooSmall
+from .errors import DegenerateValueRange, PanelTooSmall
 
 # Fixed 8-color cycle; series i takes color i, colors repeat past 8.
 PALETTE = (
@@ -289,7 +289,7 @@ class _Emitter:
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{_fmt(font)}" '
             f'text-anchor="{anchor}" fill="{color}" '
-            f'font-family="Helvetica, Arial, sans-serif">{escape(content)}</text>'
+            f'font-family="Helvetica, Arial, sans-serif">{html.escape(content, quote=False)}</text>'
         )
         width = CHAR_W * font * len(content)
         if anchor == "middle":
@@ -365,6 +365,8 @@ def _value_bounds(spec: ChartSpec, indices) -> tuple[float, float]:
         lo, hi = min(0.0, lo), max(1.0, hi)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5  # display-only widening for constant data
+    if not math.isfinite(4.0 * (hi - lo)):  # the y ticks step by a quarter of this span
+        raise DegenerateValueRange(f"value range {lo!r}..{hi!r} is too wide to draw")
     return lo, hi
 
 

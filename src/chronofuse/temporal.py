@@ -242,12 +242,20 @@ class _Accumulator:
         self.flagged: dict[str, dict[str, int]] = {}
 
     def add_observations(self, observations: Iterable[Observation]) -> None:
+        rows: dict[dt.date, dict[str, list[CellEntry]]] = {}  # by observation date
+        # a (metric, unit) merged once cannot conflict again: the unit it leaves stays
+        merged: set[tuple[str, str, str]] = set()  # (metric, unit, source)
         for obs in observations:
             _check_finite(obs)
-            row = self.entries.setdefault(slice_start(obs.time.date, self.granularity), {})
+            row = rows.get(obs.time.date)
+            if row is None:
+                start = slice_start(obs.time.date, self.granularity)
+                row = rows[obs.time.date] = self.entries.setdefault(start, {})
             row.setdefault(obs.metric, []).append(CellEntry(obs.value, obs.source))
-            _merge_unit(self.units, obs.metric, obs.unit)
-            self.sources.setdefault(obs.metric, set()).add(obs.source)
+            if (obs.metric, obs.unit, obs.source) not in merged:
+                merged.add((obs.metric, obs.unit, obs.source))
+                _merge_unit(self.units, obs.metric, obs.unit)
+                self.sources.setdefault(obs.metric, set()).add(obs.source)
             for flag in obs.flags:
                 counts = self.flagged.setdefault(obs.metric, {})
                 counts[flag] = counts.get(flag, 0) + 1
@@ -280,7 +288,8 @@ class _Accumulator:
             for metric, entries in self.entries[day].items():
                 if metric in old:
                     entries = [*old[metric].entries, *entries]
-                cells[metric] = Cell(tuple(sorted(entries, key=_entry_order)))
+                cells[metric] = Cell(tuple(entries) if len(entries) == 1
+                                     else tuple(sorted(entries, key=_entry_order)))
             if not old and last is not None and day < last:
                 out_of_order = True
             rows[ts] = {metric: cells[metric] for metric in sorted(cells)}
@@ -876,12 +885,15 @@ def save_observations(
         lines.append(f"range {metric}|{_range_text(rng)}|{rng.unit}")
     lines.append(f"observations {len(observations)}")
     writable: set[str] = set()  # a handful of names repeat over every observation
+    flag_texts: dict[frozenset[str], str] = {}  # and a handful of flag sets
     for obs in observations:
         for token, what in ((obs.source, "report id"), (obs.metric, "metric"), (obs.unit, "unit")):
             if token not in writable:
                 writable.add(_writable_token(token, what))
         _check_finite(obs)  # load_observations rejects the same values
-        flags = ",".join(sorted(obs.flags))
+        flags = flag_texts.get(obs.flags)
+        if flags is None:
+            flags = flag_texts[obs.flags] = ",".join(sorted(obs.flags))
         lines.append(
             f"obs {obs.source}|{obs.metric}|{obs.value!r}|{obs.unit}|{obs.time.isoformat()}|{flags}"
         )

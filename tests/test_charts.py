@@ -319,6 +319,18 @@ def test_radial_spec_without_labels_is_refused(kind):
         ChartSpec(kind, (Series("a", pts(1.0, 2.0, 3.0)),), ())
 
 
+@pytest.mark.parametrize("kind, points, labels, message", [
+    (ChartKind.LINE, pts(1.0, 2.0), (), "slot labels"),
+    (ChartKind.RADIAL_LINE, ((0.0, 0.2), (5.0, 0.5)), ("x", "y", "z"), "slot index 0..2"),
+    (ChartKind.LINE, ((0.5, 0.5),), ("x", "y"), "slot index 0..1"),
+    (ChartKind.RADIAL_BAR, ((-1.0, 0.5),), ("x",), "slot index 0..0"),
+    (ChartKind.COMPOUND_LINE, (), ("x",), "no points"),
+])
+def test_spec_refuses_points_that_are_not_slot_indices(kind, points, labels, message):
+    with pytest.raises(ValueError, match=message):
+        ChartSpec(kind, (Series("a", tuple(points)),), labels)
+
+
 def test_radial_bar_chart(small_table):
     spec = build_radial_bar_chart(small_table, ["glucose", "hba1c"])
     assert spec.kind is ChartKind.RADIAL_BAR

@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronofuse import (
@@ -261,19 +261,18 @@ SPEC_FIELD = PLAIN_NAME | PLAIN_NAME | SPEC_NAME
 
 @st.composite
 def chart_specs(draw):
+    labels = tuple(draw(st.lists(SPEC_FIELD, min_size=1, max_size=4)))
     series = []
     for _ in range(draw(st.integers(1, 3))):
-        ts = sorted(set(draw(st.lists(FINITE, max_size=4))))
-        series.append(Series(draw(SPEC_FIELD), tuple((t, draw(FINITE)) for t in ts),
+        # a spec has no empty series, and its t values are slot indices of its labels
+        ts = sorted(draw(st.sets(st.integers(0, len(labels) - 1), min_size=1, max_size=4)))
+        series.append(Series(draw(SPEC_FIELD), tuple((float(t), draw(FINITE)) for t in ts),
                              draw(st.sampled_from(list(Normalization)))))
-    try:
-        return ChartSpec(
-            kind=draw(st.sampled_from(list(ChartKind))),
-            series=tuple(series),
-            slot_labels=tuple(draw(st.lists(SPEC_FIELD, max_size=4))),
-        )
-    except ValueError:  # a radial kind without labels
-        assume(False)
+    return ChartSpec(
+        kind=draw(st.sampled_from(list(ChartKind))),
+        series=tuple(series),
+        slot_labels=labels,
+    )
 
 
 @settings(max_examples=300, deadline=None)

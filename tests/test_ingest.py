@@ -158,6 +158,13 @@ def test_timestamp_picks_leftmost():
     assert tp.date == dt.date(2021, 1, 2)
 
 
+def test_timestamp_valid_date_wins_over_an_overlapping_invalid_one():
+    # the dash form 12-34-2021 (month 12, day 34) starts first and overlaps the ISO date
+    for order in DateOrder:
+        tp = parse_timestamp("12-34-2021-05-06 08:15", order)
+        assert tp == TimePoint.minute(dt.date(2021, 5, 6), dt.time(8, 15))
+
+
 # --- parse_measurement ---
 
 

@@ -1,17 +1,38 @@
-"""Differential property test for the legibility occupancy grid.
+"""Property tests for rendering.
 
 `legibility_check` fills its 4px grid one row span at a time. It is checked
 against a reference copy of the per-cell loop it replaced, kept below, on
 generated marks over the viewports of the default device profiles.
+
+Every `ChartSpec` that constructs, on every valid `DeviceProfile`, renders
+and is judged, or raises a `ChronofuseError`, and renders to the same bytes
+twice.
 """
 
 import math
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronofuse import DeviceClass, Mark, Rect, RenderedChart, default_profile, legibility_check
-from chronofuse.render import CELL_PX
+from chronofuse import (
+    ChartKind,
+    ChartSpec,
+    DeviceClass,
+    DeviceProfile,
+    Mark,
+    Normalization,
+    Rect,
+    RenderedChart,
+    Series,
+    default_profile,
+    legibility_check,
+    legibility_report,
+    render_svg,
+    select_layout,
+)
+from chronofuse.errors import ChronofuseError
+from chronofuse.render import CELL_PX, MAX_PROFILE_SIZE
 
 # --- reference implementation ---
 
@@ -84,3 +105,47 @@ def test_blank_ratio_matches_per_cell_reference(case):
     profile, w, h, marks = case
     chart = RenderedChart(svg="<svg/>", marks=tuple(marks), viewbox=(w, h))
     assert legibility_check(chart, profile).blank_ratio == reference_blank_ratio(marks, w, h)
+
+
+# --- every spec renders or raises a ChronofuseError ---
+
+# From everyday values to spans whose arithmetic overflows a float.
+VALUE_SCALES = [1.0, 1e3, 1e-300, 1e154, 1e300, sys.float_info.max]
+
+
+@st.composite
+def specs_and_profiles(draw):
+    n = draw(st.integers(1, 400))
+    stem = draw(st.text(max_size=8))
+    labels = tuple(f"{stem}{i}" for i in range(n)) if draw(st.booleans()) else (stem,) * n
+    rnd = draw(st.randoms(use_true_random=False))
+    series = []
+    for k in range(draw(st.integers(1, 6))):
+        ts = sorted(rnd.sample(range(n), draw(st.integers(1, n))))
+        scale = draw(st.sampled_from(VALUE_SCALES))
+        if draw(st.booleans()):  # a constant series
+            points = tuple((float(t), scale) for t in ts)
+        else:
+            points = tuple((float(t), scale * rnd.uniform(-1.0, 1.0)) for t in ts)
+        series.append(Series(f"m{k}", points, draw(st.sampled_from(list(Normalization)))))
+    spec = ChartSpec(draw(st.sampled_from(list(ChartKind))), tuple(series), labels)
+    size = st.floats(0.0, MAX_PROFILE_SIZE, exclude_min=True)
+    profile = DeviceProfile(draw(st.sampled_from(list(DeviceClass))), draw(size), draw(size),
+                            draw(size), draw(st.floats(0.0, 1.0, exclude_min=True)))
+    return spec, profile
+
+
+def _render_and_judge(spec, profile):
+    rendered = render_svg(spec, select_layout(spec, profile), profile)
+    return rendered.svg, legibility_report(legibility_check(rendered, profile), profile)
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs_and_profiles())
+def test_every_chart_spec_renders_or_raises_a_chronofuse_error(case):
+    spec, profile = case
+    try:
+        first = _render_and_judge(spec, profile)
+    except ChronofuseError:
+        return
+    assert _render_and_judge(spec, profile) == first

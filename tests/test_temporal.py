@@ -43,7 +43,7 @@ from chronofuse.errors import (
     UnitConflict,
     VersionMismatch,
 )
-from chronofuse.ingest import Observation, RefRange
+from chronofuse.ingest import FLAG_OUT_OF_RANGE, FLAG_UNIT_MISMATCH, Observation, RefRange
 from conftest import obs
 
 
@@ -111,6 +111,38 @@ def test_fuse_empty_unit_does_not_conflict():
     ]
     table, _ = fuse(observations)
     assert table.columns[0].unit == "mg/dL"
+
+
+def test_fuse_unit_conflict_after_an_empty_unit_names_both_units():
+    # source "a" is merged with no unit first, then comes back with a unit that conflicts
+    observations = [
+        obs("m", 1.0, "2021-01-01", "a", unit=""),
+        obs("m", 2.0, "2021-01-02", "b", unit="mg/dL"),
+        obs("m", 3.0, "2021-01-03", "a", unit="mmol/L"),
+    ]
+    with pytest.raises(UnitConflict, match="'mg/dL' and 'mmol/L'"):
+        fuse(observations)
+
+
+def test_fuse_notes_do_not_depend_on_shared_flag_sets():
+    out, both = frozenset({FLAG_OUT_OF_RANGE}), frozenset({FLAG_OUT_OF_RANGE, FLAG_UNIT_MISMATCH})
+    shared = [
+        replace(obs("a", 1.0, "2021-01-01", "r1"), flags=out),
+        replace(obs("a", 2.0, "2021-01-01", "r2"), flags=out),
+        replace(obs("a", 3.0, "2021-01-02", "r1"), flags=both),
+        replace(obs("b", 4.0, "2021-01-02", "r1"), flags=out),
+        obs("b", 5.0, "2021-01-02", "r2"),
+    ]
+    fresh = [replace(o, flags=frozenset(set(o.flags))) for o in shared]
+    expected = [
+        "metric a: 3 observation(s) flagged out_of_range",
+        "metric a: 1 observation(s) flagged unit_mismatch",
+        "metric b: 1 observation(s) flagged out_of_range",
+        "slice 2021-01-01 metric a: 2 entries accumulated",
+        "slice 2021-01-02 metric b: 2 entries accumulated",
+    ]
+    assert fuse(shared)[1] == expected
+    assert fuse(fresh)[1] == expected
 
 
 def test_fuse_order_independent():
