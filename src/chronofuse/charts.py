@@ -150,7 +150,7 @@ def normalize_series(
             raise DegenerateRange(f"reference range for {metric or 'series'} has low == high")
         span = ref_range.high - ref_range.low
         points = tuple((t, (v - ref_range.low) / span) for t, v in raw)
-        return Series(metric, points, mode)
+        return _normalized(metric, raw, points, mode)
     if mode is Normalization.MIN_MAX:
         values = [v for _, v in raw]
         lo, hi = min(values), max(values)
@@ -159,8 +159,23 @@ def normalize_series(
         else:
             span = hi - lo
             points = tuple((t, (v - lo) / span) for t, v in raw)
-        return Series(metric, points, mode)
+        return _normalized(metric, raw, points, mode)
     return Series(metric, tuple((t, v) for t, v in raw))
+
+
+def _normalized(metric, raw, points, mode) -> Series:
+    """The normalized Series; DegenerateValueRange when only normalizing made a value non-finite.
+
+    Finite values can still overflow: the span, or a value's distance from
+    the low end, may exceed the largest float. Raw points that Series
+    refuses on their own raise its ValueError, as under `none`.
+    """
+    try:
+        return Series(metric, points, mode)
+    except ValueError:
+        Series(metric, tuple(raw))
+        raise DegenerateValueRange(
+            f"normalizing {metric or 'series'} ({mode.value}) overflows a float") from None
 
 
 def line_segments(series: Series) -> list[Segment]:

@@ -217,12 +217,21 @@ def select_layout(spec: ChartSpec, profile: DeviceProfile) -> LayoutPlan:
 
 
 def _r(x: float) -> float:
-    # One rounding step shared by the geometry index and the SVG text, so
-    # the index reflects the emitted coordinates exactly.
+    """x rounded to 9 decimals, with -0.0 as 0.0: the value _fmt(x)'s text reads back as."""
     return round(x, 9) + 0.0
 
 
 def _fmt(x: float) -> str:
+    """The SVG text of x: rounded to 9 decimals, shortest form, integral values without '.0'.
+
+    float() of the text is exactly _r(x), so the geometry index stores what
+    the SVG reads back as.
+    """
+    if 1e-4 <= abs(x) < 1e6:
+        # %.9f rounds as round(x, 9) does, and its at most 15 significant
+        # digits are repr's shortest, fixed-point text for that double
+        text = ("%.9f" % x).rstrip("0")
+        return text[:-1] if text[-1] == "." else text
     if not math.isfinite(x):
         return repr(x)
     r = _r(x)
@@ -237,9 +246,10 @@ class _Emitter:
         self.marks: list[Mark] = []
 
     def line(self, x0, y0, x1, y1, color, width=1.0, kind="axis"):
-        x0, y0, x1, y1 = _r(x0), _r(y0), _r(x1), _r(y1)
+        sx0, sy0, sx1, sy1 = _fmt(x0), _fmt(y0), _fmt(x1), _fmt(y1)
+        x0, y0, x1, y1 = float(sx0), float(sy0), float(sx1), float(sy1)
         self.parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
+            f'<line x1="{sx0}" y1="{sy0}" x2="{sx1}" y2="{sy1}" '
             f'stroke="{color}" stroke-width="{_fmt(width)}"/>'
         )
         half = width / 2.0
@@ -248,17 +258,19 @@ class _Emitter:
         self.marks.append(Mark(kind, bbox))
 
     def rect(self, r: Rect, stroke, fill="none", kind="frame", width=1.0):
-        r = Rect(_r(r.x), _r(r.y), _r(r.w), _r(r.h))
+        sx, sy, sw, sh = _fmt(r.x), _fmt(r.y), _fmt(r.w), _fmt(r.h)
+        r = Rect(float(sx), float(sy), float(sw), float(sh))
         self.parts.append(
-            f'<rect x="{_fmt(r.x)}" y="{_fmt(r.y)}" width="{_fmt(r.w)}" height="{_fmt(r.h)}" '
+            f'<rect x="{sx}" y="{sy}" width="{sw}" height="{sh}" '
             f'stroke="{stroke}" fill="{fill}" stroke-width="{_fmt(width)}"/>'
         )
         self.marks.append(Mark(kind, r))
 
     def circle(self, cx, cy, radius, stroke, fill="none", kind="ring", width=1.0):
-        cx, cy, radius = _r(cx), _r(cy), _r(radius)
+        scx, scy, sr = _fmt(cx), _fmt(cy), _fmt(radius)
+        cx, cy, radius = float(scx), float(scy), float(sr)
         self.parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
+            f'<circle cx="{scx}" cy="{scy}" r="{sr}" '
             f'stroke="{stroke}" fill="{fill}" stroke-width="{_fmt(width)}"/>'
         )
         half = width / 2.0
@@ -266,10 +278,11 @@ class _Emitter:
         self.marks.append(Mark(kind, bbox))
 
     def polyline(self, points, color, width=1.5, kind="series_line", close=False):
-        pts = tuple((_r(x), _r(y)) for x, y in points)
+        texts = [(_fmt(x), _fmt(y)) for x, y in points]
         if close:
-            pts = pts + (pts[0],)
-        text = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+            texts.append(texts[0])
+        pts = tuple((float(x), float(y)) for x, y in texts)
+        text = " ".join([f"{x},{y}" for x, y in texts])
         self.parts.append(
             f'<polyline points="{text}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>'
         )
@@ -285,9 +298,10 @@ class _Emitter:
         self.marks.append(Mark(kind, bbox, vertices=vertices))
 
     def text(self, x, y, content, font, anchor="middle", color="#333", kind="tick_label"):
-        x, y, font = _r(x), _r(y), _r(font)
+        sx, sy, sfont = _fmt(x), _fmt(y), _fmt(font)
+        x, y, font = float(sx), float(sy), float(sfont)
         self.parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{_fmt(font)}" '
+            f'<text x="{sx}" y="{sy}" font-size="{sfont}" '
             f'text-anchor="{anchor}" fill="{color}" '
             f'font-family="Helvetica, Arial, sans-serif">{html.escape(content, quote=False)}</text>'
         )
@@ -365,6 +379,8 @@ def _value_bounds(spec: ChartSpec, indices) -> tuple[float, float]:
         lo, hi = min(0.0, lo), max(1.0, hi)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5  # display-only widening for constant data
+        if lo == hi:  # the value is so large that rounding undoes the widening
+            raise DegenerateValueRange(f"constant value {lo!r} is too large to widen into a range")
     if not math.isfinite(4.0 * (hi - lo)):  # the y ticks step by a quarter of this span
         raise DegenerateValueRange(f"value range {lo!r}..{hi!r} is too wide to draw")
     return lo, hi
@@ -547,6 +563,9 @@ def _fit_radial_panel(panel, max_label, font, title_band):
     return region
 
 
+_CARDINALS = tuple(k * math.pi / 2.0 for k in range(5))  # 12, 3, 6, 9 and 12 o'clock again
+
+
 def _emit_sector(emitter, polar_xy, a0, a1, r0_units, r1_units, color):
     p00 = polar_xy(a0, r0_units)
     p01 = polar_xy(a0, r1_units)
@@ -556,19 +575,16 @@ def _emit_sector(emitter, polar_xy, a0, a1, r0_units, r1_units, color):
     r1_px = math.hypot(p01[0] - zero[0], p01[1] - zero[1])
     r0_px = math.hypot(p00[0] - zero[0], p00[1] - zero[1])
     large = 1 if (a1 - a0) > math.pi else 0
-    pts = [(_r(x), _r(y)) for x, y in (p00, p01, p11, p10)]
-    d = (
-        f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])} "
-        f"L {_fmt(pts[1][0])} {_fmt(pts[1][1])} "
-        f"A {_fmt(r1_px)} {_fmt(r1_px)} 0 {large} 1 {_fmt(pts[2][0])} {_fmt(pts[2][1])} "
-        f"L {_fmt(pts[3][0])} {_fmt(pts[3][1])} "
-        f"A {_fmt(r0_px)} {_fmt(r0_px)} 0 {large} 0 {_fmt(pts[0][0])} {_fmt(pts[0][1])} Z"
-    )
+    texts = [(_fmt(x), _fmt(y)) for x, y in (p00, p01, p11, p10)]
+    (x00, y00), (x01, y01), (x11, y11), (x10, y10) = texts
+    s1, s0 = _fmt(r1_px), _fmt(r0_px)
+    d = (f"M {x00} {y00} L {x01} {y01} A {s1} {s1} 0 {large} 1 {x11} {y11} "
+         f"L {x10} {y10} A {s0} {s0} 0 {large} 0 {x00} {y00} Z")
+    pts = [(float(x), float(y)) for x, y in texts]
     candidates = list(pts)
-    for radius_units in (r0_units, r1_units):
-        for k in range(5):
-            cardinal = k * math.pi / 2.0
-            if a0 <= cardinal <= a1:
+    for cardinal in _CARDINALS:
+        if a0 <= cardinal <= a1:
+            for radius_units in (r0_units, r1_units):
                 candidates.append(tuple(_r(c) for c in polar_xy(cardinal, radius_units)))
     xs = [p[0] for p in candidates]
     ys = [p[1] for p in candidates]

@@ -343,14 +343,14 @@ def slice_range(table: TemporalTable, start: TimePoint, end: TimePoint) -> Tempo
         for ts, row in table.rows.items()
         if ts.start_date <= end.date and ts.end_date > start.date
     }
-    sources: dict[str, set[str]] = {}
+    entries: dict[str, list[tuple[CellEntry, ...]]] = {}
     for row in kept.values():
         for metric, cell in row.items():
-            sources.setdefault(metric, set()).update(e.source for e in cell.entries)
+            entries.setdefault(metric, []).append(cell.entries)
     columns = tuple(
-        replace(column, source_reports=frozenset(sources[column.metric]))
+        replace(column, source_reports=frozenset({e.source for es in entries[column.metric] for e in es}))
         for column in table.columns
-        if column.metric in sources
+        if column.metric in entries
     )
     return TemporalTable(granularity=table.granularity, columns=columns, rows=kept)
 

@@ -6,7 +6,9 @@ import pytest
 from chronofuse import (
     Granularity,
     MetricLexicon,
+    Normalization,
     Observation,
+    RefRange,
     TimePoint,
     extract_observations,
     fuse,
@@ -57,3 +59,15 @@ def obs(metric: str, value: float, day: str, source: str = "r1", unit: str = "")
         time=TimePoint.day(dt.date.fromisoformat(day)),
         source=source,
     )
+
+
+def overflowing_table(mode: Normalization):
+    """A day table of finite values whose normalization under `mode` overflows a float.
+
+    reference_range: a value far above a narrow range; min_max: a value
+    span wider than the largest float.
+    """
+    other = 1.0 if mode is Normalization.REFERENCE_RANGE else -1.7e308
+    table, _ = fuse([obs("a", 1.7e308, "2021-01-01"), obs("a", other, "2021-01-02")],
+                    ranges={"a": RefRange(0.0, 0.5)})
+    return table

@@ -35,7 +35,7 @@ from chronofuse.errors import (
     TooFewSlices,
     UnknownMetric,
 )
-from conftest import obs
+from conftest import obs, overflowing_table
 
 RANGE = RefRange(4.0, 10.0, "%")
 
@@ -91,6 +91,19 @@ def test_min_max_and_constant():
 def test_none_is_identity():
     series = normalize_series(pts(2.0, -1.0), mode=Normalization.NONE)
     assert [v for _, v in series.points] == [2.0, -1.0]
+
+
+@pytest.mark.parametrize("mode", [Normalization.REFERENCE_RANGE, Normalization.MIN_MAX])
+def test_normalization_overflow_is_a_degenerate_value_range(mode):
+    with pytest.raises(DegenerateValueRange, match=f"normalizing a \\({mode.value}\\) overflows"):
+        build_line_chart(overflowing_table(mode), normalization=mode)
+
+
+def test_normalizing_non_finite_raw_values_is_the_series_value_error():
+    with pytest.raises(ValueError, match="non-finite t or values"):
+        normalize_series([(0.0, math.nan)], RANGE, Normalization.REFERENCE_RANGE)
+    with pytest.raises(ValueError, match="non-finite t or values"):
+        normalize_series(pts(1.0, math.inf), mode=Normalization.MIN_MAX)
 
 
 def test_normalization_is_affine_monotone():

@@ -5,11 +5,13 @@ from pathlib import Path
 import pytest
 
 import chronofuse
-from chronofuse import DeviceClass, Granularity, fuse, load_observations, load_table, save_table
+from chronofuse import (
+    DeviceClass, Granularity, Normalization, fuse, load_observations, load_table, save_table,
+)
 from chronofuse.cli import main
 from chronofuse.config import load_config, parse_config
 from chronofuse.errors import ConfigError
-from conftest import obs
+from conftest import obs, overflowing_table
 
 
 @pytest.fixture()
@@ -185,6 +187,18 @@ def test_render_rejects_reversed_store(tmp_path, capsys):
 
 def test_render_unknown_metric(tmp_path, store_path):
     assert main(["render", str(store_path), "--metrics", "nope", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("mode", [Normalization.REFERENCE_RANGE, Normalization.MIN_MAX])
+def test_render_normalization_overflow_is_a_named_error(tmp_path, capsys, mode):
+    path = tmp_path / "table.txt"
+    save_table(overflowing_table(mode), path)
+    config = tmp_path / "chronofuse.cfg"
+    config.write_text(f"normalization = {mode.value}\n", encoding="utf-8")
+    code = main(["render", str(path), "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DegenerateValueRange: normalizing a"), err
 
 
 # --- check ---

@@ -258,6 +258,35 @@ def test_radial_polygon_closes(weekly_table):
     assert len(vertices) == len(spec.series[0].points) + 1
 
 
+def _element_vertices(element):
+    """The vertices an SVG polyline or sector path writes, each number read with float()."""
+    if element.tag.endswith("polyline"):
+        return tuple(tuple(map(float, pair.split(","))) for pair in element.attrib["points"].split(" "))
+    # M p0 L p1 A rx ry rot large sweep p2 L p3 A rx ry rot large sweep p0 Z
+    tokens = element.attrib["d"].split(" ")
+    points = []
+    i = 0
+    while tokens[i] != "Z":
+        i += 6 if tokens[i] == "A" else 1
+        points.append((float(tokens[i]), float(tokens[i + 1])))
+        i += 2
+    assert points[-1] == points[0]
+    return tuple(points[:-1])
+
+
+@pytest.mark.parametrize("build", [build_line_chart, build_radial_chart, build_radial_bar_chart])
+@pytest.mark.parametrize("device", list(DeviceClass))
+def test_geometry_index_vertices_are_what_the_svg_reads_back_as(weekly_table, build, device):
+    spec = build(weekly_table)
+    profile = default_profile(device)
+    rendered = render_svg(spec, select_layout(spec, profile), profile)
+    elements = [e for e in ET.fromstring(rendered.svg) if e.tag.rsplit("}", 1)[-1] in ("polyline", "path")]
+    marks = [m for m in rendered.marks if m.vertices is not None]
+    assert elements and len(elements) == len(marks)
+    for element, mark in zip(elements, marks):
+        assert _element_vertices(element) == mark.vertices
+
+
 # --- legibility_check ---
 
 

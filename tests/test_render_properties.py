@@ -7,17 +7,23 @@ generated marks over the viewports of the default device profiles.
 Every `ChartSpec` that constructs, on every valid `DeviceProfile`, renders
 and is judged, or raises a `ChronofuseError`, and renders to the same bytes
 twice.
+
+Numbers are written to the SVG and the diagnostics by one formatter with a
+fast path for everyday magnitudes. Its text is checked, through
+`legibility_report`, against a reference copy of the formatter without that
+path, kept below, on floats of every magnitude.
 """
 
 import math
 import sys
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronofuse import (
     ChartKind,
     ChartSpec,
+    Diagnostics,
     DeviceClass,
     DeviceProfile,
     Mark,
@@ -32,9 +38,18 @@ from chronofuse import (
     select_layout,
 )
 from chronofuse.errors import ChronofuseError
-from chronofuse.render import CELL_PX, MAX_PROFILE_SIZE
+from chronofuse.render import CELL_PX, MAX_PROFILE_SIZE, RULE_BLANK
 
-# --- reference implementation ---
+# --- reference implementations ---
+
+
+def reference_fmt(x):
+    if not math.isfinite(x):
+        return repr(x)
+    r = round(x, 9) + 0.0
+    if r == int(r) and abs(r) < 1e15:
+        return str(int(r))
+    return repr(r)
 
 
 def reference_blank_ratio(marks, w, h):
@@ -140,8 +155,17 @@ def _render_and_judge(spec, profile):
     return rendered.svg, legibility_report(legibility_check(rendered, profile), profile)
 
 
+# A constant line whose value is at least 2**53: widening it by 0.5 either way
+# rounds back to the value itself.
+HUGE_CONSTANT_LINE = (
+    ChartSpec(ChartKind.LINE, (Series("a", ((0.0, 1e17), (1.0, 1e17), (2.0, 1e17))),), ("x", "y", "z")),
+    default_profile(DeviceClass.MONITOR),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(specs_and_profiles())
+@example(HUGE_CONSTANT_LINE)
 def test_every_chart_spec_renders_or_raises_a_chronofuse_error(case):
     spec, profile = case
     try:
@@ -149,3 +173,46 @@ def test_every_chart_spec_renders_or_raises_a_chronofuse_error(case):
     except ChronofuseError:
         return
     assert _render_and_judge(spec, profile) == first
+
+
+# --- the number formatter ---
+
+_BOUNDARIES = [b * s for b in (1e-4, 1e6) for s in (1.0, -1.0)]
+_BOUNDARIES += [math.nextafter(b, d) for b in _BOUNDARIES for d in (0.0, math.copysign(math.inf, b))]
+
+
+def _magnitudes():
+    """A mantissa in [1, 10) times a power of ten from 1e-320 to 1e307, either sign."""
+    return st.builds(lambda m, e, sign: sign * m * 10.0 ** e,
+                     st.floats(1.0, 10.0, exclude_max=True), st.integers(-320, 307),
+                     st.sampled_from([1.0, -1.0]))
+
+
+def _ninth_decimal_ties():
+    """k + 0.5 units of the 9th decimal, which binary floats hold only approximately."""
+    return st.integers(-10**15, 10**15).map(lambda k: (k + 0.5) / 1e9)
+
+
+NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from(_BOUNDARIES + [0.0, -0.0, math.inf, -math.inf, 1e15, -1e15, 2.0**53]),
+    _magnitudes(),
+    st.integers(-2**60, 2**60).map(float),
+    _ninth_decimal_ties(),
+    st.integers(-10**15, 10**15).map(lambda k: k / 1e9),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(NUMBERS)
+@example(1e-4)
+@example(1e6)
+@example(999999.9999999999)
+@example(0.0001000000005)
+@example(-2.5e-9)
+def test_report_numbers_match_the_reference_formatter(x):
+    profile = default_profile(DeviceClass.TABLET)
+    diagnostics = Diagnostics(out_of_view_marks=0, blank_ratio=x, min_text_px=12.0, passed=True)
+    line = legibility_report(diagnostics, profile).splitlines()[1]
+    rule, value, threshold, _ = line.split(": ")
+    assert (rule, value, threshold) == (RULE_BLANK, reference_fmt(x), reference_fmt(profile.max_blank_ratio))
