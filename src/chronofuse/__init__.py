@@ -22,8 +22,6 @@ from .charts import (
     normalize_series,
     radial_bar_slots,
     radial_point,
-    spec_from_text,
-    spec_to_text,
 )
 from .errors import ChronofuseError
 from .ingest import (

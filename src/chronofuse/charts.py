@@ -23,15 +23,7 @@ from .errors import (
     UnknownMetric,
 )
 from .ingest import RefRange, TimePoint
-from .temporal import (
-    Aggregator,
-    TemporalTable,
-    _Cursor,
-    _items,
-    _writable_token,
-    aggregate_cell,
-    slice_range,
-)
+from .temporal import Aggregator, TemporalTable, aggregate_cell, slice_range
 
 __all__ = [
     "ChartKind",
@@ -47,12 +39,7 @@ __all__ = [
     "build_radial_bar_chart",
     "radial_point",
     "radial_bar_slots",
-    "spec_to_text",
-    "spec_from_text",
 ]
-
-CHART_MAGIC = "chronofuse-chart"
-CHART_VERSION = 2
 
 
 class ChartKind(str, Enum):
@@ -98,7 +85,11 @@ class Series:
 
 @dataclass(frozen=True)
 class Segment:
-    """One line piece between consecutive points, as y = slope * t + intercept."""
+    """One line piece between consecutive points, as v = slope * t + intercept.
+
+    The paper draws a series as such independent pieces, one per pair of
+    consecutive points; see line_segments.
+    """
 
     slope: float
     intercept: float
@@ -179,11 +170,13 @@ def _normalized(metric, raw, points, mode) -> Series:
 
 
 def line_segments(series: Series) -> list[Segment]:
-    """Split a series into its per-pair line pieces.
+    """Split a series into the paper's per-segment line pieces.
 
-    Each consecutive point pair yields one independent segment, so a
-    series of n points gives exactly n - 1 segments and editing one point
-    only disturbs its adjacent pieces.
+    Each consecutive point pair yields one independent segment
+    v = slope * t + intercept, so a series of n points gives exactly n - 1
+    segments and editing one point only disturbs its adjacent pieces
+    (criterion 5 of tests/test_acceptance.py). The renderer draws the same
+    pieces as one polyline through the points.
     """
     segments = []
     for (t0, v0), (t1, v1) in zip(series.points, series.points[1:]):
@@ -301,80 +294,10 @@ def _build_chart(kind, table, metrics, time_range, aggregator, normalization) ->
                 raw.append((float(index), aggregate_cell(cell, aggregator)))
         if not raw:
             raise EmptySelection(f"metric {metric!r} has no cells in the requested range")
-        column = table.column_for(metric)
-        ref = column.reference_range if column is not None else None
+        ref = table.column_for(metric).reference_range
         series.append(normalize_series(raw, ref, normalization, metric=metric))
     if kind is ChartKind.LINE and len(series) != 1:
         kind = ChartKind.COMPOUND_LINE
     labels = tuple(ts.start_date.isoformat() for ts in table.rows)
     return ChartSpec(kind, tuple(series), labels)
 
-
-# --- textual serialization (documented field order, diffable goldens) ---
-
-
-def _points_text(points) -> str:
-    return " ".join(f"{t!r}:{v!r}" for t, v in points)
-
-
-def _points(text: str) -> tuple[tuple[float, ...], ...]:
-    # split(" ") and not split(): two spaces or a trailing one are not what is written
-    return tuple(tuple(map(float, point.split(":"))) for point in text.split(" ")) if text else ()
-
-
-def _labels_text(labels: Sequence[str]) -> str:
-    for label in labels:
-        if not label or "," in label or "\n" in label:
-            raise ValueError(f"label {label!r} is empty or contains ',' or a line break")
-    return ",".join(labels)
-
-
-# The lines between the magic line and the series, as (key, ChartSpec field, writer,
-# reader). spec_to_text writes each field with its writer, and spec_from_text reads
-# a field only if the writer gives its text back, so only what spec_to_text writes parses.
-_FIELDS = (
-    ("kind", "kind", lambda kind: kind.value, ChartKind),
-    ("labels", "slot_labels", _labels_text, _items),
-)
-
-
-def spec_to_text(spec: ChartSpec) -> str:
-    """Serialize a ChartSpec to its line-oriented text form.
-
-    Refuses with ValueError, before writing anything, a spec that
-    spec_from_text would not read back equal: a series metric holding a
-    reserved store character (| ; = @ or a line break) and a label that is
-    empty or holds ',' or a line break.
-    """
-    lines = [f"{CHART_MAGIC} {CHART_VERSION}"]
-    lines += [f"{key} {write(getattr(spec, name))}" for key, name, write, _ in _FIELDS]
-    lines.append(f"series {len(spec.series)}")
-    for s in spec.series:
-        _writable_token(s.metric, "metric")
-        lines.append(f"s {s.metric}|{s.normalization.value}|{_points_text(s.points)}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def spec_from_text(text: str) -> ChartSpec:
-    """Parse the output of spec_to_text. Raises MalformedStore on any other text."""
-    cursor = _Cursor(text, "chart spec")
-    magic = cursor.next()
-    if magic != f"{CHART_MAGIC} {CHART_VERSION}":
-        cursor.fail(f"not a chronofuse chart spec: {magic!r}")
-    fields = {name: cursor.parse(read, cursor.expect_field(key), key, write)
-              for key, name, write, read in _FIELDS}
-    series = []
-    for metric, norm_text, points_text in cursor.records("series", "s", 3):
-        cursor.parse(str, metric, "metric", _writable_token)
-        normalization = cursor.parse(Normalization, norm_text, "normalization", lambda n: n.value)
-        points = cursor.parse(_points, points_text, "points", _points_text)
-        try:
-            series.append(Series(metric, points, normalization))
-        except ValueError as exc:
-            cursor.fail(f"bad series: {exc}")
-    cursor.end()
-    try:
-        return ChartSpec(series=tuple(series), **fields)
-    except ValueError as exc:
-        cursor.fail(f"invalid spec: {exc}")

@@ -128,10 +128,6 @@ class TemporalTable:
                 return column
         return None
 
-    @property
-    def slices(self) -> tuple[TimeSlice, ...]:
-        return tuple(self.rows)
-
 
 def slice_start(date: dt.date, granularity: Granularity) -> dt.date:
     """Align a date to its bucket start (weeks start Monday, months on day 1)."""
@@ -649,7 +645,7 @@ def load_table(path: str | Path) -> TemporalTable:
     if text == known_text:
         return TemporalTable(granularity=known_granularity, columns=known_columns,
                              rows={ts: dict(row) for ts, row in known.values()})
-    cursor = _Cursor.open(text, path.name, STORE_MAGIC, STORE_VERSION, "table store")
+    cursor = _Cursor(text, path.name, STORE_MAGIC, STORE_VERSION, "table store")
     granularity = cursor.parse(Granularity, cursor.expect_field("granularity"), "granularity",
                                lambda g: g.value)
     sources: dict[str, set[str]] = {}
@@ -694,29 +690,24 @@ def load_table(path: str | Path) -> TemporalTable:
 
 
 class _Cursor:
-    """Reads line records (`<key> <body>`) from a store, an archive or a chart spec.
+    """Reads line records (`<key> <body>`) from a table store or an observation archive.
 
-    Every grammar violation raises MalformedStore naming the text and line.
+    Every grammar violation raises MalformedStore naming the file and line.
     """
 
-    def __init__(self, text: str, name: str):
-        self.lines = text.split("\n")  # the savers end every line with '\n' and nothing else
-        self.name = name
-        self.pos = 0
-
-    @classmethod
-    def open(cls, text: str, name: str, magic: str, version: int, what: str) -> _Cursor:
+    def __init__(self, text: str, name: str, magic: str, version: int, what: str):
         """A cursor on the text of file `name`, past its checked `<magic> <version>` line.
 
         `what` names the format.
         """
-        cursor = cls(text, name)
-        found, sep, version_text = cursor.next().partition(" ")
+        self.lines = text.split("\n")  # the savers end every line with '\n' and nothing else
+        self.name = name
+        self.pos = 0
+        found, sep, version_text = self.next().partition(" ")
         if found != magic or not sep:
             raise MalformedStore(f"{name}: not a chronofuse {what}")
-        if cursor.parse(int, version_text, f"{what} version", str) != version:
+        if self.parse(int, version_text, f"{what} version", str) != version:
             raise VersionMismatch(f"{name}: unsupported {what} version {version_text!r}")
-        return cursor
 
     def next(self) -> str:
         if self.pos >= len(self.lines):
@@ -904,8 +895,8 @@ def save_observations(
 def load_observations(path: str | Path) -> tuple[list[Observation], dict[str, RefRange]]:
     """Read an observation archive back; inverse of save_observations."""
     path, what = Path(path), "observation archive"
-    cursor = _Cursor.open(read_text(path, MalformedStore, what), path.name, ARCHIVE_MAGIC,
-                          ARCHIVE_VERSION, what)
+    cursor = _Cursor(read_text(path, MalformedStore, what), path.name, ARCHIVE_MAGIC,
+                     ARCHIVE_VERSION, what)
     ranges: dict[str, RefRange] = {}
     for metric, rng_text, rng_unit in cursor.records("ranges", "range", 3):
         if ranges and metric <= next(reversed(ranges)):  # written in metric order, once each

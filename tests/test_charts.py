@@ -23,14 +23,11 @@ from chronofuse import (
     radial_point,
     render_svg,
     select_layout,
-    spec_from_text,
-    spec_to_text,
 )
 from chronofuse.errors import (
     DegenerateRange,
     DegenerateValueRange,
     EmptySelection,
-    MalformedStore,
     MissingRange,
     TooFewSlices,
     UnknownMetric,
@@ -349,59 +346,6 @@ def test_radial_bar_chart(small_table):
     assert spec.kind is ChartKind.RADIAL_BAR
     assert len(spec.slot_labels) == 3
     assert len(spec.series) == 2
-
-
-# --- serialization ---
-
-def test_spec_text_round_trip(small_table):
-    for builder in (build_line_chart, build_radial_chart, build_radial_bar_chart):
-        spec = builder(small_table, ["glucose", "hba1c"],
-                       normalization=Normalization.REFERENCE_RANGE)
-        assert spec_from_text(spec_to_text(spec)) == spec
-
-
-SPEC_TEXT = (
-    "chronofuse-chart 2\n"
-    "kind line\n"
-    "labels 2021-01-01,2021-01-02,2021-01-03\n"
-    "series 1\n"
-    "s glucose|none|0.0:90.0 1.0:110.0 2.0:100.0\n"
-    "end\n"
-)
-
-
-def test_spec_text_golden(small_table):
-    spec = build_line_chart(small_table, ["glucose"], normalization=Normalization.NONE)
-    assert spec_to_text(spec) == SPEC_TEXT
-    assert spec_from_text(SPEC_TEXT) == spec
-
-
-def test_spec_from_text_refuses_version_1():
-    old = ("chronofuse-chart 1\nkind line\ntime_range 2021-01-01..2021-01-03\nslots 0\n"
-           "labels 2021-01-01,2021-01-02,2021-01-03\npalette 0\nseries 1\n"
-           "s glucose|none||0.0:90.0 1.0:110.0 2.0:100.0\nend\n")
-    with pytest.raises(MalformedStore, match="not a chronofuse chart spec"):
-        spec_from_text(old)
-
-
-@pytest.mark.parametrize(
-    "record, bad",
-    [
-        ("kind line", "kind sunburst"),
-        ("series 1", "series one"),
-        ("s glucose|none|", "s glucose|"),
-        ("0.0:90.0 ", "0.0:ninety "),
-        ("0.0:90.0 ", "0.0 "),
-        ("1.0:110.0", "nan:110.0"),
-        ("2.0:100.0", "inf:100.0"),
-    ],
-    ids=["unknown-kind", "series", "field-count", "point-value", "point-form",
-         "point-t-nan", "point-t-inf"],
-)
-def test_spec_from_text_rejects_bad_records(record, bad):
-    assert record in SPEC_TEXT
-    with pytest.raises(MalformedStore):
-        spec_from_text(SPEC_TEXT.replace(record, bad, 1))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

@@ -1,10 +1,10 @@
 """Properties of the text formats on generated input.
 
 Every table and archive that the savers write loads back equal and
-re-saves to the same bytes, and the four loaders raise nothing but
+re-saves to the same bytes, and the three loaders raise nothing but
 ChronofuseError on arbitrary text or on a valid file with one line
-mutated; a mutated store, archive or chart spec that loads re-saves to
-its own bytes. What load_table returns for a file does not depend on the store
+mutated; a mutated store or archive that loads re-saves to its own
+bytes. What load_table returns for a file does not depend on the store
 it loaded or saved before, and what save_table writes does not depend on it
 either; neither does what rebucket returns depend on the table it rebucketed
 before.
@@ -26,15 +26,10 @@ from hypothesis import strategies as st
 from chronofuse import (
     Cell,
     CellEntry,
-    ChartKind,
-    ChartSpec,
     ColumnDescriptor,
     Granularity,
-    Normalization,
     Observation,
-    Series,
     TimePoint,
-    build_radial_bar_chart,
     extract_observations,
     fuse,
     load_lexicon,
@@ -44,8 +39,6 @@ from chronofuse import (
     rebucket,
     save_observations,
     save_table,
-    spec_from_text,
-    spec_to_text,
 )
 from chronofuse.errors import ChronofuseError, MalformedStore, OutputWriteError
 from chronofuse.ingest import FLAG_OUT_OF_RANGE, FLAG_UNIT_MISMATCH, RefRange
@@ -165,11 +158,9 @@ def _valid_files() -> dict[str, str]:
     observations = []
     for name in ("report_a.txt", "report_b.csv"):
         observations += extract_observations(load_report(FIXTURES / "reports" / name), lexicon)[0]
-    table = load_table(FIXTURES / "golden" / "table_weekly.txt")
     return {
         "store": (FIXTURES / "golden" / "table_weekly.txt").read_text(encoding="utf-8"),
         "archive": saved(save_observations, observations, ranges=lexicon.ranges()).decode("utf-8"),
-        "spec": spec_to_text(build_radial_bar_chart(table)),
         "lexicon": (FIXTURES / "lexicon.txt").read_text(encoding="utf-8"),
     }
 
@@ -178,7 +169,6 @@ VALID = _valid_files()
 LOADERS = {
     "store": lambda data: reloaded(load_table, data),
     "archive": lambda data: reloaded(load_observations, data),
-    "spec": lambda data: spec_from_text(data.decode("utf-8")),
     "lexicon": lambda data: reloaded(load_lexicon, data),
 }
 
@@ -231,7 +221,6 @@ def mutated_line(draw, line: str) -> list[str]:
 RESAVERS = {
     "store": lambda table: saved(save_table, table),
     "archive": lambda loaded: saved(save_observations, loaded[0], ranges=loaded[1]),
-    "spec": lambda spec: spec_to_text(spec).encode("utf-8"),
 }
 
 
@@ -249,62 +238,6 @@ def test_loaders_raise_only_chronofuse_errors_on_one_mutated_line(kind, data):
     # a file that loads is one its saver writes: saving what it holds gives its bytes back
     if kind in RESAVERS:
         assert RESAVERS[kind](loaded) == mutated
-
-
-# --- spec_to_text writes only what spec_from_text reads back ---
-
-# Text rich in the spec's separators, the store's reserved characters and line breaks.
-SPEC_NAME = st.text(st.sampled_from(",.|;=@\n\r a1-") | st.characters(), max_size=6)
-# Mostly names a spec can hold, so that most generated specs are written and read back.
-SPEC_FIELD = PLAIN_NAME | PLAIN_NAME | SPEC_NAME
-
-
-@st.composite
-def chart_specs(draw):
-    labels = tuple(draw(st.lists(SPEC_FIELD, min_size=1, max_size=4)))
-    series = []
-    for _ in range(draw(st.integers(1, 3))):
-        # a spec has no empty series, and its t values are slot indices of its labels
-        ts = sorted(draw(st.sets(st.integers(0, len(labels) - 1), min_size=1, max_size=4)))
-        series.append(Series(draw(SPEC_FIELD), tuple((float(t), draw(FINITE)) for t in ts),
-                             draw(st.sampled_from(list(Normalization)))))
-    return ChartSpec(
-        kind=draw(st.sampled_from(list(ChartKind))),
-        series=tuple(series),
-        slot_labels=labels,
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(chart_specs())
-def test_every_spec_spec_to_text_writes_reads_back_equal(spec):
-    try:
-        text = spec_to_text(spec)
-    except ValueError:
-        return
-    assert spec_from_text(text) == spec
-    assert spec_to_text(spec_from_text(text)) == text  # == cannot tell -0.0 from 0.0
-
-
-def _with(*unwritable: str) -> st.SearchStrategy[str]:
-    return st.tuples(SPEC_NAME, st.sampled_from(unwritable), SPEC_NAME).map("".join)
-
-
-UNWRITABLE = {  # a spec field that spec_from_text could not read back, and how to put it in a spec
-    "metric": (_with(*"|;=@\n\r\x85\u2028"),
-               lambda spec, bad: replace(spec, series=(replace(spec.series[0], metric=bad),))),
-    "label": (_with(",", "\n") | st.just(""),
-              lambda spec, bad: replace(spec, slot_labels=(*spec.slot_labels, bad))),
-}
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(UNWRITABLE)), st.data())
-def test_spec_to_text_refuses_what_spec_from_text_cannot_read_back(field, data):
-    names, put = UNWRITABLE[field]
-    spec = put(spec_from_text(VALID["spec"]), data.draw(names))
-    with pytest.raises(ValueError):
-        spec_to_text(spec)
 
 
 # --- load_table remembers the rows of the last store it loaded ---

@@ -30,7 +30,6 @@ from chronofuse import (
     save_table,
     slice_for,
     slice_range,
-    spec_from_text,
 )
 from chronofuse.errors import (
     ChronofuseError,
@@ -806,8 +805,6 @@ def test_rebucket_rows_stay_the_callers():
 STORE = STORE_HEAD + "rows 1\nrow 2021-01-04|a=1.1@r1;2.0@r2|b=10.0@r1\nend\n"
 ARCHIVE = ("chronofuse-observations 1\nranges 1\nrange a|1.0..2.0|\nobservations 2\n"
            "obs r1|a|1.5||2021-01-05 09:05|\nobs r2|a|2.5||2021-01-06|out_of_range,unit_mismatch\nend\n")
-SPEC = ("chronofuse-chart 2\nkind line\nlabels 2021-01-04,2021-01-05\n"
-        "series 1\ns a|none|0.0:1.5 1.0:2.0\nend\n")
 NOT_WRITTEN = {
     "store-value-trailing-zero": ("store", "a=1.1@", "a=1.10@"),
     "store-value-plus": ("store", "a=1.1@", "a=+1.1@"),
@@ -844,17 +841,10 @@ NOT_WRITTEN = {
     "archive-ranges-unsorted": ("archive", "ranges 1\nrange a|1.0..2.0|\n",
                                 "ranges 2\nrange b|1.0..2.0|\nrange a|1.0..2.0|\n"),
     "archive-unit-reserved": ("archive", "obs r1|a|1.5||", "obs r1|a|1.5|m;g|"),
-    "spec-point-trailing-zero": ("spec", "0.0:1.5", "0.00:1.5"),
-    "spec-labels-empty-item": ("spec", "labels 2021-01-04,2021-01-05", "labels 2021-01-04,,2021-01-05"),
-    "spec-no-final-newline": ("spec", "end\n", "end"),
-    "spec-byte-order-mark": ("spec", "chronofuse-chart 2", "\ufeffchronofuse-chart 2"),
-    "spec-points-two-spaces": ("spec", "0.0:1.5 1.0:2.0", "0.0:1.5  1.0:2.0"),
 }
 
 
 def load_text(kind, text, tmp_path):
-    if kind == "spec":
-        return spec_from_text(text)
     path = tmp_path / f"{kind}.txt"
     path.write_bytes(text.encode("utf-8"))
     return load_table(path) if kind == "store" else load_observations(path)
@@ -863,11 +853,25 @@ def load_text(kind, text, tmp_path):
 @pytest.mark.parametrize("case", sorted(NOT_WRITTEN))
 def test_loaders_accept_only_what_the_savers_write(tmp_path, case):
     kind, old, new = NOT_WRITTEN[case]
-    valid = {"store": STORE, "archive": ARCHIVE, "spec": SPEC}[kind]
+    valid = {"store": STORE, "archive": ARCHIVE}[kind]
     load_text(kind, valid, tmp_path)
     assert old in valid
     with pytest.raises(MalformedStore):
         load_text(kind, valid.replace(old, new), tmp_path)
+
+
+# Both loaders check their `<magic> <version>` line through the same reader.
+@pytest.mark.parametrize("kind, text, error, message", [
+    ("store", "chronofuse-table 99\nend\n", VersionMismatch,
+     "store.txt: unsupported table store version '99'"),
+    ("archive", "chronofuse-observations 99\nend\n", VersionMismatch,
+     "archive.txt: unsupported observation archive version '99'"),
+    ("store", ARCHIVE, MalformedStore, "store.txt: not a chronofuse table store"),
+    ("archive", STORE, MalformedStore, "archive.txt: not a chronofuse observation archive"),
+], ids=["store-version", "archive-version", "store-given-archive", "archive-given-store"])
+def test_loaders_check_the_header_line(tmp_path, kind, text, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        load_text(kind, text, tmp_path)
 
 
 def test_a_negative_zero_cell_replacing_an_equal_loaded_one_is_saved(tmp_path):
