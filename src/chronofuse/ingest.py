@@ -283,9 +283,12 @@ def _find_timestamp(text: str, date_order: DateOrder) -> TimePoint | None:
     match = _DATE_RE.search(text)
     while match is not None:
         found = match.group()
-        year, month, day = fields.get(found[2], _ISO_FIELDS)
         try:
-            date = dt.date(int(found[year]), int(found[month]), int(found[day]))
+            if found[4] == "-" and found.isascii():  # ISO in ASCII digits, which fromisoformat reads
+                date = dt.date.fromisoformat(found)
+            else:  # \d and int() also take other Unicode decimal digits
+                year, month, day = fields.get(found[2], _ISO_FIELDS)
+                date = dt.date(int(found[year]), int(found[month]), int(found[day]))
             break
         except ValueError:  # not a calendar date; a valid one of another form may overlap it
             match = _DATE_RE.search(text, match.start() + 1)
@@ -423,10 +426,7 @@ def _scan_line(line: str, lexicon: MetricLexicon) -> tuple[_Match | None, str | 
         return None, f"{reason} after alias {alias!r} (metric {entry.canonical!r})"
     warning = None
     if mismatch:
-        warning = (
-            f"unexpected unit after {entry.canonical!r} value; expected one of "
-            f"{', '.join(entry.units)}"
-        )
+        warning = f"unexpected unit after {entry.canonical!r} value; {_expected_units(entry)}"
     return (entry, value, unit, mismatch), warning
 
 
@@ -505,11 +505,8 @@ def _extract_csv(doc, lexicon, date_order):
         raise ReportReadError(f"report {doc.report_id} is not readable CSV: {exc}") from exc
     if rows and [cell.strip().lower() for cell in rows[0]] != ["date", "metric", "value", "unit"]:
         return [], [f"{doc.report_id}:1: expected CSV header 'date,metric,value,unit'"]
-    numbered = [
-        (lineno, row)
-        for lineno, row in enumerate(rows[1:], start=2)
-        if any(cell.strip() for cell in row)
-    ]
+    # a row is blank when every cell is; joined, its cells strip to "" exactly then
+    numbered = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if "".join(row).strip()]
     return _extract_rows(doc, numbered, lexicon, date_order, "expected 4 fields, got {}")
 
 
@@ -517,59 +514,75 @@ def _extract_rows(doc, rows, lexicon, date_order, wrong_count: str):
     """Observations from (line number, fields) rows of an explicit-row format.
 
     `wrong_count` is the warning for a row without 4 fields, formatted with
-    its field count.
+    its field count. A row is checked for its date, metric and value in
+    that order, and skipped with one warning at the first that fails; an
+    unexpected unit is warned about but keeps the row.
     """
+    report_id = doc.report_id
     warnings: list[str] = []
     observations: list[Observation] = []
+    resolved: dict[tuple[str, str], tuple | None] = {}  # by (metric field, unit field)
     for lineno, fields in rows:
         if len(fields) != 4:
-            warnings.append(f"{doc.report_id}:{lineno}: {wrong_count.format(len(fields))}")
+            warnings.append(f"{report_id}:{lineno}: {wrong_count.format(len(fields))}")
             continue
-        obs, warning = _explicit_row(fields, lexicon, date_order, doc.report_id)
-        if warning:
-            warnings.append(f"{doc.report_id}:{lineno}: {warning}")
-        if obs is not None:
-            observations.append(obs)
+        raw_date, raw_metric, raw_value, raw_unit = fields
+        raw_date = raw_date.strip()
+        time = _find_timestamp(raw_date, date_order)
+        if time is None:
+            warnings.append(f"{report_id}:{lineno}: unparseable date {raw_date!r}")
+            continue
+        resolution = resolved.get((raw_metric, raw_unit), False)
+        if resolution is False:
+            resolution = resolved[raw_metric, raw_unit] = _resolve_fields(raw_metric, raw_unit, lexicon)
+        if resolution is None:
+            warnings.append(f"{report_id}:{lineno}: unknown metric {raw_metric.strip()!r}")
+            continue
+        metric, unit, low, high, in_range, out_of_range, unit_warning = resolution
+        raw_value = raw_value.strip()
+        value = float(raw_value) if _NUMBER_RE.fullmatch(raw_value) else math.nan
+        if not math.isfinite(value):  # not a numeral, or too long for a float
+            warnings.append(f"{report_id}:{lineno}: malformed value {raw_value!r} for metric {metric!r}")
+            continue
+        if unit_warning:
+            warnings.append(f"{report_id}:{lineno}: {unit_warning}")
+        flags = in_range if low <= value <= high else out_of_range
+        observations.append(Observation(metric, value, unit, time, report_id, flags))
     return observations, warnings
 
 
-def _explicit_row(fields, lexicon, date_order, report_id):
-    """Shared row logic for formats carrying explicit date/metric/value/unit."""
-    raw_date, raw_metric, raw_value, raw_unit = (f.strip() for f in fields)
-    time = _find_timestamp(raw_date, date_order)
-    if time is None:
-        return None, f"unparseable date {raw_date!r}"
-    entry = lexicon.entry_for(raw_metric)
+def _resolve_fields(raw_metric: str, raw_unit: str, lexicon: MetricLexicon) -> tuple | None:
+    """What a row's metric and unit fields resolve to, or None for an unknown metric.
+
+    That is (canonical name, stored unit, reference low, high, flags in
+    range, flags out of range, unit warning or None); an entry without a
+    range has an infinite one.
+    """
+    entry = lexicon.entry_for(raw_metric.strip())
     if entry is None:
-        return None, f"unknown metric {raw_metric!r}"
-    value = float(raw_value) if _NUMBER_RE.fullmatch(raw_value) else math.nan
-    if not math.isfinite(value):  # not a numeral, or too long for a float
-        return None, f"malformed value {raw_value!r} for metric {entry.canonical!r}"
-    unit = ""
-    mismatch = False
-    if raw_unit:
-        unit, mismatch = _resolve_unit([raw_unit], entry)
+        return None
+    raw_unit = raw_unit.strip()
+    unit, mismatch = _resolve_unit([raw_unit], entry)
     warning = None
     if mismatch:
-        warning = (
-            f"unexpected unit {raw_unit!r} for {entry.canonical!r}; expected one of "
-            f"{', '.join(entry.units)}"
-        )
-    return _to_observation((entry, value, unit, mismatch), time, report_id), warning
+        warning = f"unexpected unit {raw_unit!r} for {entry.canonical!r}; {_expected_units(entry)}"
+    rng = entry.reference_range
+    low, high = (rng.low, rng.high) if rng else (-math.inf, math.inf)
+    return (entry.canonical, unit, low, high, _FLAG_SETS[mismatch, False],
+            _FLAG_SETS[mismatch, True], warning)
+
+
+def _expected_units(entry: LexiconEntry) -> str:
+    """The end of an unexpected-unit warning: the units `entry` lists."""
+    return f"expected one of {', '.join(entry.units)}" if entry.units else "expected no unit"
 
 
 def _to_observation(match: _Match, time: TimePoint, report_id: str) -> Observation:
     entry, value, unit, unit_mismatch = match
     rng = entry.reference_range
     out_of_range = rng is not None and not rng.contains(value)
-    return Observation(
-        metric=entry.canonical,
-        value=value,
-        unit=unit,
-        time=time,
-        source=report_id,
-        flags=_FLAG_SETS[unit_mismatch, out_of_range],
-    )
+    return Observation(entry.canonical, value, unit, time, report_id,
+                       _FLAG_SETS[unit_mismatch, out_of_range])
 
 
 def _pipe_records(lines: list[str]):

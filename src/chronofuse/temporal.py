@@ -242,7 +242,8 @@ class _Accumulator:
         # a (metric, unit) merged once cannot conflict again: the unit it leaves stays
         merged: set[tuple[str, str, str]] = set()  # (metric, unit, source)
         for obs in observations:
-            _check_finite(obs)
+            if type(obs.value) is not float or not math.isfinite(obs.value):
+                _check_finite(obs)
             row = rows.get(obs.time.date)
             if row is None:
                 start = slice_start(obs.time.date, self.granularity)
@@ -252,9 +253,10 @@ class _Accumulator:
                 merged.add((obs.metric, obs.unit, obs.source))
                 _merge_unit(self.units, obs.metric, obs.unit)
                 self.sources.setdefault(obs.metric, set()).add(obs.source)
-            for flag in obs.flags:
+            if obs.flags:
                 counts = self.flagged.setdefault(obs.metric, {})
-                counts[flag] = counts.get(flag, 0) + 1
+                for flag in obs.flags:
+                    counts[flag] = counts.get(flag, 0) + 1
 
     def add_rows(self, start: dt.date, rows: Iterable[Mapping[str, Cell]]) -> None:
         """Feed existing cells (whose columns were given at construction) to slice `start`."""
@@ -875,13 +877,16 @@ def save_observations(
             _writable_token(token, what)
         lines.append(f"range {metric}|{_range_text(rng)}|{rng.unit}")
     lines.append(f"observations {len(observations)}")
-    writable: set[str] = set()  # a handful of names repeat over every observation
+    writable: set[tuple[str, str, str]] = set()  # (source, metric, unit): a handful repeat over all
     flag_texts: dict[frozenset[str], str] = {}  # and a handful of flag sets
     for obs in observations:
-        for token, what in ((obs.source, "report id"), (obs.metric, "metric"), (obs.unit, "unit")):
-            if token not in writable:
-                writable.add(_writable_token(token, what))
-        _check_finite(obs)  # load_observations rejects the same values
+        names = (obs.source, obs.metric, obs.unit)
+        if names not in writable:
+            for token, what in zip(names, ("report id", "metric", "unit")):
+                _writable_token(token, what)
+            writable.add(names)
+        if type(obs.value) is not float or not math.isfinite(obs.value):
+            _check_finite(obs)  # load_observations rejects the same values
         flags = flag_texts.get(obs.flags)
         if flags is None:
             flags = flag_texts[obs.flags] = ",".join(sorted(obs.flags))

@@ -399,6 +399,40 @@ def test_ingest_skips_numerals_too_long_for_a_float_and_its_outputs_load(
     assert main(["render", str(out / "table.txt"), "--out", str(tmp_path / "r")]) == 0
 
 
+def test_ingest_prints_each_explicit_row_warning_in_row_order(tmp_path, lexicon_arg, capsys):
+    lab = tmp_path / "lab.csv"
+    lab.write_text(
+        "date,metric,value,unit\n2021-01-04,glucose,95,mg/dL\n2021-01-05,Glu,101,mg/dl\n"
+        "2021-01-06,glu,99\n2021-13-01,glucose,97,mg/dL\n2021-01-07,weight,70,kg\n"
+        "2021-01-08,glucose,9x,mg/dL\n2021-01-09,glucose,103,mmol\n2021-01-10,GLU,104,mmol\n"
+        " ,\t, \n2021-01-11,a1c,5.1,%\n", encoding="utf-8")
+    device = tmp_path / "dev.rec"
+    device.write_text(
+        "# device log\n2021-01-04 07:45|systolic|118|mmHg\n2021-01-05|sys bp|121\n"
+        "2021-01-05|systolic|bp|mmHg\nyesterday|systolic|120|mmHg\n2021-01-06|Sys BP|125|mm\n"
+        "2021-01-07|sys bp|126|mm\n2021-01-08|pulse|60|bpm\n\n2021-01-09|creat|0.9|mg/dL\n",
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", str(lab), str(device), "--lexicon", lexicon_arg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "dev.rec: 4 observation(s), 6 warning(s)",
+        "  warning: dev.rec:3: expected 4 pipe-delimited fields",
+        "  warning: dev.rec:4: malformed value 'bp' for metric 'systolic_bp'",
+        "  warning: dev.rec:5: unparseable date 'yesterday'",
+        "  warning: dev.rec:6: unexpected unit 'mm' for 'systolic_bp'; expected one of mmHg",
+        "  warning: dev.rec:7: unexpected unit 'mm' for 'systolic_bp'; expected one of mmHg",
+        "  warning: dev.rec:8: unknown metric 'pulse'",
+        "lab.csv: 5 observation(s), 6 warning(s)",
+        "  warning: lab.csv:4: expected 4 fields, got 3",
+        "  warning: lab.csv:5: unparseable date '2021-13-01'",
+        "  warning: lab.csv:6: unknown metric 'weight'",
+        "  warning: lab.csv:7: malformed value '9x' for metric 'glucose'",
+        "  warning: lab.csv:8: unexpected unit 'mmol' for 'glucose'; expected one of mg/dL",
+        "  warning: lab.csv:9: unexpected unit 'mmol' for 'glucose'; expected one of mg/dL",
+        f"wrote {out / 'observations.txt'} (9 observation(s), 12 warning(s) total)",
+    ]
+
+
 def test_ingest_with_a_lexicon_bound_too_long_for_a_float_exits_2(tmp_path, corpus_args, capsys):
     lexicon = tmp_path / "lex.txt"
     lexicon.write_text(f"glucose|glu|mg/dL|70..{'1' * 400}\n", encoding="utf-8")

@@ -277,6 +277,19 @@ def test_extract_unit_mismatch_flag_and_warning():
     assert len(warnings) == 1 and "unexpected unit" in warnings[0]
 
 
+def test_a_unit_for_an_entry_without_units_warns_expected_no_unit():
+    lex = make_lexicon(LexiconEntry("creatinine", ("creat",)))
+    for fmt, line, warning in (
+        (ReportFormat.PLAIN_TEXT, "2021-03-14 creat 0.9 mg",
+         "r1:1: unexpected unit after 'creatinine' value; expected no unit"),
+        (ReportFormat.STRUCTURED_RECORDS, "2021-03-14|creat|0.9|mg",
+         "r1:1: unexpected unit 'mg' for 'creatinine'; expected no unit"),
+    ):
+        observations, warnings = extract_observations(doc([line], fmt), lex)
+        assert observations[0].unit == "" and observations[0].flags == {FLAG_UNIT_MISMATCH}
+        assert warnings == [warning]
+
+
 def test_extract_malformed_numeral_warns_not_raises():
     lex = make_lexicon(GLUCOSE)
     observations, warnings = extract_observations(doc(["2021-03-14", "Glucose: high"]), lex)

@@ -7,6 +7,7 @@ timestamp grammar as one scan per date form, where the parser runs one
 combined scan.
 """
 
+import csv
 import datetime as dt
 import math
 import re
@@ -72,11 +73,14 @@ def reference_scan(line, lexicon):
         return None, f"{reason} after alias {alias!r} (metric {entry.canonical!r})"
     warning = None
     if mismatch:
-        warning = (
-            f"unexpected unit after {entry.canonical!r} value; expected one of "
-            f"{', '.join(entry.units)}"
-        )
+        warning = f"unexpected unit after {entry.canonical!r} value; {reference_expected(entry)}"
     return (entry.canonical, value, unit), warning
+
+
+def reference_expected(entry):
+    if not entry.units:
+        return "expected no unit"
+    return f"expected one of {', '.join(entry.units)}"
 
 
 def reference_resolve_unit(tokens, entry):
@@ -286,8 +290,18 @@ def _outcome(parse, text, order):
 @example("31/02/2021 2021-02-28 10:30", DateOrder.MDY)
 @example("14/03/2021", DateOrder.DMY)
 @example("14/03/2021", DateOrder.MDY)
+@example("２０２１-０１-０４", DateOrder.DMY)
+@example("٢٠٢١-٠١-٠٤", DateOrder.DMY)
+@example("2021-02-30 2021-03-01", DateOrder.DMY)
+@example("0000-01-01", DateOrder.DMY)
+@example("2021-01-04 07:45", DateOrder.MDY)
 def test_timestamp_precheck_keeps_the_grammar(text, order):
     assert _outcome(parse_timestamp, text, order) == _outcome(reference_parse_timestamp, text, order)
+
+
+def test_iso_dates_in_other_decimal_digits_read_as_ascii_ones():
+    for text in ("２０２１-０１-０４", "٢٠٢١-٠١-٠٤", "date: 2021-01-04"):
+        assert parse_timestamp(text) == TimePoint.day(dt.date(2021, 1, 4))
 
 
 # --- document-level pairing ---
@@ -296,7 +310,10 @@ def test_timestamp_precheck_keeps_the_grammar(text, order):
 # than a single pass: a plain-text measurement takes the timestamp of the
 # nearest line at or before it that has one, or the document's first
 # timestamp when no such line exists; `.rec` documents skip blank and
-# `#` lines and carry one date|metric|value|unit row per line.
+# `#` lines and carry one date|metric|value|unit row per line; CSV
+# documents skip the rows whose cells are all blank. Both row formats
+# check each row afresh, where the parser resolves each distinct metric
+# and unit once per document.
 
 PAIRING_LEXICON = MetricLexicon(
     [
@@ -347,13 +364,31 @@ def reference_extract_plain(lines, lexicon, date_order):
 
 
 def reference_extract_records(lines, lexicon, date_order):
+    rows = [
+        (lineno, line.split("|"))
+        for lineno, line in enumerate(lines, start=1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    return reference_rows(rows, lexicon, date_order, lambda count: "expected 4 pipe-delimited fields")
+
+
+def reference_extract_csv(lines, lexicon, date_order):
+    rows = list(csv.reader(lines))
+    if rows and [cell.strip().lower() for cell in rows[0]] != ["date", "metric", "value", "unit"]:
+        return [], ["r:1: expected CSV header 'date,metric,value,unit'"]
+    numbered = [
+        (lineno, row)
+        for lineno, row in enumerate(rows[1:], start=2)
+        if any(cell.strip() for cell in row)
+    ]
+    return reference_rows(numbered, lexicon, date_order, lambda count: f"expected 4 fields, got {count}")
+
+
+def reference_rows(rows, lexicon, date_order, wrong_count):
     observations, warnings = [], []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.strip().startswith("#"):
-            continue
-        fields = line.split("|")
+    for lineno, fields in rows:
         if len(fields) != 4:
-            warnings.append(f"r:{lineno}: expected 4 pipe-delimited fields")
+            warnings.append(f"r:{lineno}: {wrong_count(len(fields))}")
             continue
         raw_date, raw_metric, raw_value, raw_unit = (f.strip() for f in fields)
         time = _reference_time(raw_date, date_order)
@@ -374,7 +409,7 @@ def reference_extract_records(lines, lexicon, date_order):
         if mismatch:
             warnings.append(
                 f"r:{lineno}: unexpected unit {raw_unit!r} for {entry.canonical!r}; "
-                f"expected one of {', '.join(entry.units)}"
+                f"{reference_expected(entry)}"
             )
         flags = _reference_flags(entry, value, mismatch)
         observations.append(Observation(entry.canonical, value, unit, time, "r", flags))
@@ -473,4 +508,65 @@ def test_record_rows_agree_with_reference(lines, order):
     doc = ReportDocument("r", "r.rec", lines, ReportFormat.STRUCTURED_RECORDS)
     assert _extraction(extract_observations, doc, PAIRING_LEXICON, order) == _extraction(
         reference_extract_records, lines, PAIRING_LEXICON, order
+    )
+
+
+def _csv_field(text, quote):
+    if quote or any(ch in text for ch in ',"'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_lines(draw, metrics, units):
+    kind = draw(st.sampled_from(["row", "row", "row", "row", "commas", "blank"]))
+    if kind == "commas":
+        return ",".join(draw(st.lists(whitespace, min_size=1, max_size=5)))
+    if kind == "blank":
+        return draw(whitespace)
+    date = draw(st.one_of(
+        st.dates(dt.date(2020, 1, 1), dt.date(2021, 12, 31)).map(dt.date.isoformat),
+        record_fields.map(lambda fields: fields[0]),
+    ))
+    value = draw(st.one_of(
+        st.floats(-10, 300, allow_nan=False).map(lambda v: f"{v:.1f}"),
+        st.sampled_from(["7,5", '"5"', "x", " 5 ", "9" * 400]),
+    ))
+    fields = [date, draw(st.sampled_from(metrics)), value, draw(st.sampled_from(units))]
+    count = draw(st.sampled_from([3, 4, 4, 4, 4, 5]))
+    fields = (fields + ["extra"])[:count]
+    return ",".join(_csv_field(text, draw(st.booleans())) for text in fields)
+
+
+@st.composite
+def csv_documents(draw):
+    """CSV lines whose rows spell one metric a few ways, with a few units and paddings."""
+    padded = st.builds(lambda before, text, after: before + text + after, whitespace,
+                       st.sampled_from(PAIRING_UNITS), whitespace)
+    alias = draw(st.sampled_from([a for a, _ in PAIRING_LEXICON.iter_aliases()]))
+    metrics = draw(st.lists(
+        st.one_of(st.builds(lambda casing, pad: casing(alias) + pad, st.sampled_from(CASINGS),
+                            whitespace),
+                  st.sampled_from(["weight", 'gl"u', "glu,cose", ""])),
+        min_size=1, max_size=4,
+    ))
+    units = draw(st.lists(padded, min_size=1, max_size=3))
+    return draw(st.lists(csv_lines(metrics, units), max_size=14))
+
+
+csv_headers = st.sampled_from([
+    "date,metric,value,unit", " Date , METRIC,Value,unit\u3000", '"date","metric","value","unit"',
+    "date,metric,value", "time,metric,value,unit", "date,metric,value,unit,",
+])
+
+
+# The memo of resolved (metric, unit) fields meets repeats and misses: a few
+# spellings and units make up every row.
+@settings(max_examples=200, deadline=None)
+@given(csv_headers, csv_documents(), st.sampled_from(list(DateOrder)))
+def test_csv_rows_agree_with_reference(header, lines, order):
+    lines = [header, *lines]
+    doc = ReportDocument("r", "r.csv", lines, ReportFormat.CSV)
+    assert _extraction(extract_observations, doc, PAIRING_LEXICON, order) == _extraction(
+        reference_extract_csv, lines, PAIRING_LEXICON, order
     )

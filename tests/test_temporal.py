@@ -348,6 +348,27 @@ def test_non_finite_value_in_fuse_or_add_report_is_a_chronofuse_error(bad):
         assert isinstance(info.value, ChronofuseError)
 
 
+@pytest.mark.parametrize("bad, save_error, fuse_error", [
+    (obs("a", 7, "2021-02-01", unit="mg"), (ValueError, "value 7 for a from r1 is not a float"),
+     (ValueError, "value 7 for a from r1 is not a float")),
+    (obs("a", float("nan"), "2021-02-01", unit="mg"), (NonFiniteValue, "non-finite value for a from r1"),
+     (NonFiniteValue, "non-finite value for a from r1")),
+    (obs("a", 1.0, "2021-02-01", unit="m|g"),
+     (ValueError, "unit 'm|g' contains a reserved store character (| ; = @ or a line break)"),
+     (UnitConflict, "metric 'a' has conflicting units 'mg' and 'm|g'")),
+], ids=["int", "nan", "reserved-unit"])
+def test_a_bad_observation_after_many_good_ones_of_its_names_is_refused(tmp_path, bad, save_error,
+                                                                        fuse_error):
+    # the savers and fuse check each distinct name triple once, and each value by a fast test first
+    good = [obs("a", float(i), f"2021-01-{i % 28 + 1:02d}", unit="mg") for i in range(60)]
+    for call, (error, message) in ((lambda o: save_observations(o, tmp_path / "o.txt"), save_error),
+                                   (fuse, fuse_error)):
+        with pytest.raises(error) as info:
+            call([*good, bad, *good])
+        assert str(info.value) == message
+    assert not (tmp_path / "o.txt").exists()
+
+
 # --- persistence ---
 
 
