@@ -311,6 +311,22 @@ def oracle_blank_ratio(marks, w, h):
     return 1.0 - occupied / (nx * ny)
 
 
+def test_geometry_records_are_immutable_hashable_values():
+    box = Rect(1.0, 2.0, 3.0, 4.5)
+    mark = Mark("tick_label", box, font_px=12.0, text="a", vertices=((1.0, 2.0),))
+    for record, field in ((box, "x"), (mark, "bbox")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert Rect(1.0, 2.0, 3.0, 4.5) == box and hash(Rect(1.0, 2.0, 3.0, 4.5)) == hash(box)
+    twin = Mark("tick_label", Rect(1.0, 2.0, 3.0, 4.5), 12.0, "a", ((1.0, 2.0),))
+    assert twin == mark and hash(twin) == hash(mark)
+    assert repr(box) == "Rect(x=1.0, y=2.0, w=3.0, h=4.5)"
+    assert repr(Mark("box", box)) == (
+        "Mark(kind='box', bbox=Rect(x=1.0, y=2.0, w=3.0, h=4.5), font_px=None, text=None, vertices=None)"
+    )
+    assert (box.x1, box.y1) == (4.0, 6.5)
+
+
 def test_all_marks_inside_means_zero_out_of_view():
     chart = synthetic_chart([Mark("box", Rect(10, 10, 20, 20)), Mark("box", Rect(50, 50, 10, 5))])
     diag = legibility_check(chart, default_profile(DeviceClass.MONITOR))

@@ -6,11 +6,13 @@ thin the tick labels and to shrink the tick font, a profile whose base
 font is above 12px, and a profile too small for any chart kind. Each
 case's layout plan, SVG, diagnostics and `legibility_report` text, or its
 error type and message, feed one SHA-256 that is compared with a committed
-digest. The sweep is also run in fresh interpreters under two hash seeds,
+digest. The geometry index of each rendered case, `repr(rendered.marks)`,
+feeds a second SHA-256, so the coordinates the legibility rules read are
+pinned as well as the bytes written. The sweep is also run in fresh interpreters under two hash seeds,
 so output cannot depend on set or dict ordering of hashed strings.
 
-A change that alters rendered output on purpose must update DIGEST and
-say why.
+A change that alters rendered output on purpose must update DIGEST (and
+MARKS_DIGEST, when the marks move) and say why.
 
 The module imports only the standard library and chronofuse, so the
 subprocess test can load it without site-packages.
@@ -44,6 +46,7 @@ from chronofuse import (
 from chronofuse.errors import ChronofuseError
 
 DIGEST = "3e3b74b56c351c66edbf8631452f432434b75f95f9162293fe931b46843ec0c1"
+MARKS_DIGEST = "2166285bd15f342e66229b3d7d1198c7d9b845c021ead7c0c7bdcb72e450610e"
 
 METRIC_COUNTS = (1, 2, 4, 9)
 SLICE_COUNTS = (3, 16, 60, 100)
@@ -88,8 +91,8 @@ def _table(n_slices: int):
 
 
 @functools.cache
-def sweep_cases() -> tuple[tuple[str, str], ...]:
-    """(case label, text to hash) for every case of the sweep."""
+def sweep_cases() -> tuple[tuple[str, str, str], ...]:
+    """(case label, text to hash, repr of the marks or "" on error) for every case of the sweep."""
     return tuple(_sweep())
 
 
@@ -111,20 +114,29 @@ def _sweep():
                             repr(rendered.diagnostics),
                             legibility_report(rendered.diagnostics, profile),
                         ))
+                        marks = repr(rendered.marks)
                     except ChronofuseError as exc:
                         text = f"{type(exc).__name__}: {exc}"
-                    yield label, text
+                        marks = ""
+                    yield label, text, marks
 
 
 def sweep_digest() -> str:
     digest = hashlib.sha256()
-    for label, text in sweep_cases():
+    for label, text, _ in sweep_cases():
         digest.update(f"{label}\n{text}\n".encode("utf-8"))
     return digest.hexdigest()
 
 
+def marks_digest() -> str:
+    digest = hashlib.sha256()
+    for label, _, marks in sweep_cases():
+        digest.update(f"{label}\n{marks}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
 def test_sweep_covers_thinning_shrinking_and_too_small():
-    outcomes = dict(sweep_cases())
+    outcomes = {label: text for label, text, _ in sweep_cases()}
     assert len(outcomes) == len(SLICE_COUNTS) * len(METRIC_COUNTS) * len(BUILDERS) * len(PROFILES)
     for label, text in outcomes.items():
         if " tiny " in label:
@@ -142,6 +154,10 @@ def test_render_sweep_matches_committed_digest():
     assert sweep_digest() == DIGEST
 
 
+def test_render_sweep_geometry_index_matches_committed_digest():
+    assert marks_digest() == MARKS_DIGEST
+
+
 def test_render_sweep_digest_is_independent_of_hash_seed():
     # Not -I: isolated mode ignores PYTHONHASHSEED. -S and a bare
     # environment still keep site-packages and PYTHON* settings out.
@@ -152,7 +168,7 @@ def test_render_sweep_digest_is_independent_of_hash_seed():
         f"spec = importlib.util.spec_from_file_location('render_digest', {__file__!r})\n"
         "module = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(module)\n"
-        "print(hash('chronofuse'), module.sweep_digest())\n"
+        "print(hash('chronofuse'), module.sweep_digest(), module.marks_digest())\n"
     )
     seen = []
     for seed in ("0", "1"):
@@ -161,7 +177,7 @@ def test_render_sweep_digest_is_independent_of_hash_seed():
             capture_output=True, text=True, timeout=300, env={"PYTHONHASHSEED": seed},
         )
         assert result.returncode == 0, result.stderr
-        string_hash, digest = result.stdout.split()
-        assert digest == DIGEST
+        string_hash, digest, marks = result.stdout.split()
+        assert (digest, marks) == (DIGEST, MARKS_DIGEST)
         seen.append(string_hash)
     assert seen[0] != seen[1], "the two seeds should hash strings differently"
