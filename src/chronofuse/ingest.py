@@ -198,7 +198,11 @@ class Observation:
 
 @dataclass
 class ReportDocument:
-    """A loaded report file: ordered lines plus identity and format."""
+    """A loaded report file: ordered lines plus identity and format.
+
+    A CSV report's lines keep their line ends, so a quoted field that spans
+    lines reads with its line break; the other formats' lines do not.
+    """
 
     report_id: str
     source_path: str
@@ -232,10 +236,11 @@ def load_report(path: str | Path, format_hint: ReportFormat | None = None) -> Re
         fmt = _EXTENSIONS.get(path.suffix.lower())
         if fmt is None:
             raise UnknownFormat(f"cannot infer report format from {path.name!r}; pass a format hint")
+    text = read_text(path, ReportReadError, "report file").removeprefix("\ufeff")
     return ReportDocument(
         report_id=report_id_for(path),
         source_path=str(path),
-        lines=read_text(path, ReportReadError, "report file").removeprefix("\ufeff").splitlines(),
+        lines=text.splitlines(keepends=fmt is ReportFormat.CSV),
         format=fmt,
     )
 
@@ -499,14 +504,19 @@ def _extract_plain(doc, lexicon, date_order):
 
 
 def _extract_csv(doc, lexicon, date_order):
+    reader = csv.reader(doc.lines)
+    records = []  # (the line the record starts on, its fields)
+    start = 1
     try:
-        rows = list(csv.reader(doc.lines))
+        for row in reader:
+            records.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ReportReadError(f"report {doc.report_id} is not readable CSV: {exc}") from exc
-    if rows and [cell.strip().lower() for cell in rows[0]] != ["date", "metric", "value", "unit"]:
+    if records and [cell.strip().lower() for cell in records[0][1]] != ["date", "metric", "value", "unit"]:
         return [], [f"{doc.report_id}:1: expected CSV header 'date,metric,value,unit'"]
     # a row is blank when every cell is; joined, its cells strip to "" exactly then
-    numbered = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if "".join(row).strip()]
+    numbered = [(lineno, row) for lineno, row in records[1:] if "".join(row).strip()]
     return _extract_rows(doc, numbered, lexicon, date_order, "expected 4 fields, got {}")
 
 

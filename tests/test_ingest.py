@@ -328,6 +328,17 @@ def test_extract_csv_document():
     assert [(o.metric, o.value) for o in observations] == [("hba1c", 5.5), ("glucose", 99.0)]
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_csv_record_spanning_lines_keeps_its_break_and_later_warnings_name_file_lines(tmp_path, end):
+    path = tmp_path / "ml.csv"
+    rows = ["date,metric,value,unit", '2021-01-04,"glu', 'cose",95,mg/dL', "2021-01-05,weight,1,kg"]
+    path.write_bytes(end.join(rows).encode("utf-8") + end.encode("utf-8"))
+    observations, warnings = extract_observations(load_report(path), make_lexicon(GLUCOSE))
+    assert observations == []
+    assert warnings == [f"ml.csv:2: unknown metric {'glu' + end + 'cose'!r}",
+                        "ml.csv:4: unknown metric 'weight'"]
+
+
 def test_extract_csv_bad_rows_warn():
     lex = make_lexicon(HBA1C)
     document = doc(

@@ -372,15 +372,19 @@ def reference_extract_records(lines, lexicon, date_order):
     return reference_rows(rows, lexicon, date_order, lambda count: "expected 4 pipe-delimited fields")
 
 
-def reference_extract_csv(lines, lexicon, date_order):
-    rows = list(csv.reader(lines))
-    if rows and [cell.strip().lower() for cell in rows[0]] != ["date", "metric", "value", "unit"]:
+def reference_extract_csv(records, lexicon, date_order):
+    """The extraction of a CSV text that is `records`, each one record's text, one after another.
+
+    Each record is read on its own, and numbered by the line it starts on:
+    one past the line breaks of the records before it.
+    """
+    rows, lineno = [], 1
+    for text in records:
+        rows.append((lineno, next(csv.reader([text]), [])))
+        lineno += text.count("\n") + 1  # every break generated is "\n" or "\r\n"
+    if rows and [cell.strip().lower() for cell in rows[0][1]] != ["date", "metric", "value", "unit"]:
         return [], ["r:1: expected CSV header 'date,metric,value,unit'"]
-    numbered = [
-        (lineno, row)
-        for lineno, row in enumerate(rows[1:], start=2)
-        if any(cell.strip() for cell in row)
-    ]
+    numbered = [(lineno, row) for lineno, row in rows[1:] if any(cell.strip() for cell in row)]
     return reference_rows(numbered, lexicon, date_order, lambda count: f"expected 4 fields, got {count}")
 
 
@@ -512,7 +516,7 @@ def test_record_rows_agree_with_reference(lines, order):
 
 
 def _csv_field(text, quote):
-    if quote or any(ch in text for ch in ',"'):
+    if quote or any(ch in text for ch in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -530,7 +534,7 @@ def csv_lines(draw, metrics, units):
     ))
     value = draw(st.one_of(
         st.floats(-10, 300, allow_nan=False).map(lambda v: f"{v:.1f}"),
-        st.sampled_from(["7,5", '"5"', "x", " 5 ", "9" * 400]),
+        st.sampled_from(["7,5", '"5"', "x", " 5 ", "9" * 400, "5\n5", "5\r\n"]),
     ))
     fields = [date, draw(st.sampled_from(metrics)), value, draw(st.sampled_from(units))]
     count = draw(st.sampled_from([3, 4, 4, 4, 4, 5]))
@@ -547,7 +551,7 @@ def csv_documents(draw):
     metrics = draw(st.lists(
         st.one_of(st.builds(lambda casing, pad: casing(alias) + pad, st.sampled_from(CASINGS),
                             whitespace),
-                  st.sampled_from(["weight", 'gl"u', "glu,cose", ""])),
+                  st.sampled_from(["weight", 'gl"u', "glu,cose", "", "glu\ncose", "glu\r\ncose"])),
         min_size=1, max_size=4,
     ))
     units = draw(st.lists(padded, min_size=1, max_size=3))
@@ -561,12 +565,16 @@ csv_headers = st.sampled_from([
 
 
 # The memo of resolved (metric, unit) fields meets repeats and misses: a few
-# spellings and units make up every row.
+# spellings and units make up every row. Quoted fields may hold "\n" or
+# "\r\n", so a record may span lines and warnings name the line it starts on.
 @settings(max_examples=200, deadline=None)
-@given(csv_headers, csv_documents(), st.sampled_from(list(DateOrder)))
-def test_csv_rows_agree_with_reference(header, lines, order):
-    lines = [header, *lines]
-    doc = ReportDocument("r", "r.csv", lines, ReportFormat.CSV)
+@given(csv_headers, csv_documents(), st.sampled_from(["\n", "\r\n"]), st.booleans(),
+       st.sampled_from(list(DateOrder)))
+def test_csv_rows_agree_with_reference(header, records, line_end, last_end, order):
+    records = [header, *records]
+    text = line_end.join(records) + (line_end if last_end else "")
+    # split as load_report splits a CSV report
+    doc = ReportDocument("r", "r.csv", text.splitlines(keepends=True), ReportFormat.CSV)
     assert _extraction(extract_observations, doc, PAIRING_LEXICON, order) == _extraction(
-        reference_extract_csv, lines, PAIRING_LEXICON, order
+        reference_extract_csv, records, PAIRING_LEXICON, order
     )
