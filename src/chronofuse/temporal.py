@@ -497,7 +497,8 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
         c.metric in sources and c.source_reports <= sources[c.metric] for c in known_columns
     )
     present: defaultdict[str, set[str]] = defaultdict(set)  # report ids in the rows formatted
-    lost: defaultdict[str, set[str]] = defaultdict(set)  # in the remembered rows not reused
+    unused: list[dict[str, Cell]] = []  # the cells of the remembered rows not reused
+    reused = False
     remembered = iter(known.items() if reusable else ())  # in date order, like the rows
     text, (known_ts, cells) = next(remembered, _NO_ROW)
     written: dict[str, tuple[TimeSlice, dict[str, Cell]]] = {}  # what load_table would parse
@@ -513,25 +514,31 @@ def save_table(table: TemporalTable, path: str | Path) -> None:
             raise ValueError(f"row {day} comes after row {previous}")
         previous = day
         while known_ts is not None and known_ts.start.date < day:
-            _add_sources(lost, cells)
+            unused.append(cells)
             text, (known_ts, cells) = next(remembered, _NO_ROW)
         if (known_ts is not None and known_ts.start.date == day and len(row) == len(cells)
                 and all(map(operator.is_, row, cells))  # the same metrics in the same order
                 and all(map(operator.is_, row.values(), cells.values()))):  # not ==: 0.0 == -0.0
             lines.append("row " + text)
             written[text] = known_ts, cells
+            reused = True
             text, (known_ts, cells) = next(remembered, _NO_ROW)
         else:
             body = _row_text(day.isoformat(), row, sources, present)
             lines.append("row " + body)
             written[body] = ts, {metric: row[metric] for metric in sorted(row)}
-    _add_sources(lost, cells)
-    for _, (_, cells) in remembered:
-        _add_sources(lost, cells)
     # each report id a column names must be in one of its cells. The loader, or the save that
     # wrote them, found each one of a remembered column in a remembered row, which is here
-    # unless it was not reused
-    kept = {c.metric: c.source_reports - lost[c.metric] for c in known_columns if reusable}
+    # unless it was not reused. With none reused, none is here: a remembered column's ids are
+    # its cells' ids
+    kept: dict[str, frozenset[str]] = {}
+    if reused:
+        unused.append(cells)
+        unused.extend(rest for _, (_, rest) in remembered)
+        lost: defaultdict[str, set[str]] = defaultdict(set)
+        for row_cells in unused:
+            _add_sources(lost, row_cells)
+        kept = {c.metric: c.source_reports - lost[c.metric] for c in known_columns}
     for column in table.columns:
         missing = column.source_reports - present[column.metric] - kept.get(column.metric, set())
         if missing:  # cells edited since the load may have dropped them: look at every row

@@ -1170,6 +1170,19 @@ def test_save_table_refuses_a_column_naming_a_report_id_no_cell_has(tmp_path):
     assert path.read_bytes() == saved
 
 
+
+def test_save_table_after_a_store_switch_refuses_a_column_naming_a_report_id_no_cell_has(tmp_path):
+    # the remembered store's column names r2, and so does the new table's, whose cells reuse no
+    # remembered row and hold only r1
+    path = write_store(tmp_path, ["2021-01-01|a=1.0@r1;2.0@r2|b=3.0@r1", "2021-01-02|a=4.0@r2"])
+    load_table(path)
+    table = hand_table({"2021-01-01": {"a": [(1.0, "r1")], "b": [(3.0, "r1")]}},
+                       columns={"a": {"r1", "r2"}, "b": {"r1"}})
+    other = tmp_path / "other"
+    other.mkdir()
+    assert_refused(other, table, ValueError, r"column 'a' names report ids \['r2'\] that none of its cells has")
+
+
 # --- the savers refuse numbers their loaders would read as another type ---
 
 
