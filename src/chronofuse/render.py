@@ -14,6 +14,7 @@ import html
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .charts import ChartKind, ChartSpec, Normalization, radial_bar_slots, radial_point
 from .errors import DegenerateValueRange, PanelTooSmall
@@ -37,6 +38,7 @@ THINNING_ROUNDS = 3      # halve the tick labels at most this many times
 CHAR_W = 0.6             # estimated glyph width as a fraction of font size
 LABEL_GAP = 6.0
 CELL_PX = 4.0            # occupancy grid resolution for the blank-space check
+TALL_ROWS = 8            # the grid skips marks inside a set mark more grid rows tall than this
 MAX_PROFILE_SIZE = 16384  # above every real display; bounds the legibility grid and font search
 
 # Abstract chart boxes (chart units). Data is mapped into the box with the
@@ -92,8 +94,7 @@ def default_profile(device_class: DeviceClass) -> DeviceProfile:
     return DEFAULT_PROFILES[device_class]
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     x: float
     y: float
     w: float
@@ -153,8 +154,7 @@ class LayoutPlan:
     margins: float
 
 
-@dataclass(frozen=True)
-class Mark:
+class Mark(NamedTuple):
     """Geometry index entry: one emitted shape or text run."""
 
     kind: str
@@ -512,6 +512,7 @@ def _render_radial_panel(emitter, spec, panel, indices, profile, with_x_labels):
             emitter.polyline(vertices, color, kind="radial_polygon", close=True)
     else:
         slots = radial_bar_slots(n, len(indices))
+        zero = polar_xy(0.0, 0.0)
         by_slot = []  # per series: slot -> the first point in that slot
         for i in indices:
             first = {}
@@ -526,7 +527,8 @@ def _render_radial_panel(emitter, spec, panel, indices, profile, with_x_labels):
             _, radius = radial_point(slot_idx, n, point[1], lo, hi, R_INNER, R_OUTER)
             start, width = slots[slot_idx * len(indices) + series_pos]
             color = PALETTE[i % len(PALETTE)]
-            _emit_sector(emitter, polar_xy, start, start + width, R_INNER, radius, color)
+            _emit_sector(emitter, (cx, cy), zero, start, start + width, r_in,
+                         transform.scale * radius, color)
 
     # Four cardinal slot labels (dates) just outside the outer ring.
     for slot in sorted({0, n // 4, n // 2, (3 * n) // 4}):
@@ -566,30 +568,35 @@ def _fit_radial_panel(panel, max_label, font, title_band):
 _CARDINALS = tuple(k * math.pi / 2.0 for k in range(5))  # 12, 3, 6, 9 and 12 o'clock again
 
 
-def _emit_sector(emitter, polar_xy, a0, a1, r0_units, r1_units, color):
-    p00 = polar_xy(a0, r0_units)
-    p01 = polar_xy(a0, r1_units)
-    p11 = polar_xy(a1, r1_units)
-    p10 = polar_xy(a1, r0_units)
-    zero = polar_xy(0.0, 0.0)
-    r1_px = math.hypot(p01[0] - zero[0], p01[1] - zero[1])
-    r0_px = math.hypot(p00[0] - zero[0], p00[1] - zero[1])
+def _emit_sector(emitter, center, zero, a0, a1, r0_px, r1_px, color):
+    """One radial bar: the ring sector from angle a0 to a1 between radii r0_px and r1_px.
+
+    Its corners are the panel's polar_xy points, with each angle's sine and
+    cosine taken once; `zero` is polar_xy(0, 0), which the arc radii are
+    measured from.
+    """
+    cx, cy = center
+    sin0, cos0, sin1, cos1 = math.sin(a0), math.cos(a0), math.sin(a1), math.cos(a1)
+    x00, y00 = cx + r0_px * sin0, cy - r0_px * cos0
+    x01, y01 = cx + r1_px * sin0, cy - r1_px * cos0
+    zx, zy = zero
+    sx00, sy00, sx01, sy01, sx11, sy11, sx10, sy10, s1, s0 = map(_fmt, (
+        x00, y00, x01, y01, cx + r1_px * sin1, cy - r1_px * cos1, cx + r0_px * sin1, cy - r0_px * cos1,
+        math.hypot(x01 - zx, y01 - zy), math.hypot(x00 - zx, y00 - zy),
+    ))
     large = 1 if (a1 - a0) > math.pi else 0
-    texts = [(_fmt(x), _fmt(y)) for x, y in (p00, p01, p11, p10)]
-    (x00, y00), (x01, y01), (x11, y11), (x10, y10) = texts
-    s1, s0 = _fmt(r1_px), _fmt(r0_px)
-    d = (f"M {x00} {y00} L {x01} {y01} A {s1} {s1} 0 {large} 1 {x11} {y11} "
-         f"L {x10} {y10} A {s0} {s0} 0 {large} 0 {x00} {y00} Z")
-    pts = [(float(x), float(y)) for x, y in texts]
-    candidates = list(pts)
+    d = (f"M {sx00} {sy00} L {sx01} {sy01} A {s1} {s1} 0 {large} 1 {sx11} {sy11} "
+         f"L {sx10} {sy10} A {s0} {s0} 0 {large} 0 {sx00} {sy00} Z")
+    xs = [float(sx00), float(sx01), float(sx11), float(sx10)]
+    ys = [float(sy00), float(sy01), float(sy11), float(sy10)]
+    pts = tuple(zip(xs, ys))
     for cardinal in _CARDINALS:
         if a0 <= cardinal <= a1:
-            for radius_units in (r0_units, r1_units):
-                candidates.append(tuple(_r(c) for c in polar_xy(cardinal, radius_units)))
-    xs = [p[0] for p in candidates]
-    ys = [p[1] for p in candidates]
-    bbox = Rect(min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys))
-    emitter.path(d, tuple(pts), bbox, color)
+            for r_px in (r0_px, r1_px):
+                xs.append(_r(cx + r_px * math.sin(cardinal)))
+                ys.append(_r(cy - r_px * math.cos(cardinal)))
+    x_min, y_min = min(xs), min(ys)
+    emitter.path(d, pts, Rect(x_min, y_min, max(xs) - x_min, max(ys) - y_min), color)
 
 
 # --- legibility diagnostics ---
@@ -605,10 +612,15 @@ def legibility_check(rendered: RenderedChart, profile: DeviceProfile) -> Diagnos
     the chart has no text).
     """
     w, h = rendered.viewbox
-    view = Rect(0.0, 0.0, w, h)
-    out_of_view = sum(1 for mark in rendered.marks if not view.contains(mark.bbox))
-    blank = _blank_ratio(rendered.marks, w, h)
-    fonts = [m.font_px for m in rendered.marks if m.font_px is not None]
+    marks = rendered.marks
+    x_hi, y_hi = w + 1e-6, h + 1e-6  # Rect(0, 0, w, h).contains(bbox), on the bbox fields
+    out_of_view = 0
+    for mark in marks:
+        x, y, bw, bh = mark.bbox
+        if not (x >= -1e-6 and y >= -1e-6 and x + bw <= x_hi and y + bh <= y_hi):
+            out_of_view += 1
+    blank = _blank_ratio(marks, w, h)
+    fonts = [m.font_px for m in marks if m.font_px is not None]
     min_text = min(fonts) if fonts else math.inf
     failed = [rule for rule, _, _, fails in _rules(out_of_view, blank, min_text, profile) if fails]
     return Diagnostics(
@@ -621,15 +633,21 @@ def legibility_check(rendered: RenderedChart, profile: DeviceProfile) -> Diagnos
 
 
 def _blank_ratio(marks, w: float, h: float) -> float:
+    """The share of the 4px grid over w x h that no mark's box overlaps with positive area.
+
+    A mark whose cell range lies inside the cell range of a tall mark
+    already set is skipped: it would set no new cell.
+    """
     nx = max(1, math.ceil(w / CELL_PX))
     ny = max(1, math.ceil(h / CELL_PX))
     occupied = bytearray(nx * ny)
+    containers = []  # (ix0, ix1, iy0, iy1) of the tall marks set so far
     for mark in marks:
-        b = mark.bbox
-        x0 = max(b.x, 0.0)
-        y0 = max(b.y, 0.0)
-        x1 = min(b.x1, w)
-        y1 = min(b.y1, h)
+        x, y, bw, bh = mark.bbox
+        x0 = max(x, 0.0)
+        y0 = max(y, 0.0)
+        x1 = min(x + bw, w)
+        y1 = min(y + bh, h)
         if x1 <= x0 or y1 <= y0:
             continue
         ix0 = int(math.floor(x0 / CELL_PX))
@@ -639,10 +657,16 @@ def _blank_ratio(marks, w: float, h: float) -> float:
         span = ix1 - ix0
         if span <= 0:
             continue
-        row = b"\x01" * span
-        for iy in range(iy0, iy1):
-            base = iy * nx + ix0
-            occupied[base:base + span] = row
+        for cx0, cx1, cy0, cy1 in containers:
+            if cx0 <= ix0 and ix1 <= cx1 and cy0 <= iy0 and iy1 <= cy1:
+                break  # every cell of this mark is set already
+        else:
+            if iy1 - iy0 > TALL_ROWS:
+                containers.append((ix0, ix1, iy0, iy1))
+            row = b"\x01" * span
+            for iy in range(iy0, iy1):
+                base = iy * nx + ix0
+                occupied[base:base + span] = row
     return 1.0 - occupied.count(1) / (nx * ny)
 
 

@@ -1,8 +1,10 @@
 """Property tests for rendering.
 
-`legibility_check` fills its 4px grid one row span at a time. It is checked
-against a reference copy of the per-cell loop it replaced, kept below, on
-generated marks over the viewports of the default device profiles.
+`legibility_check` fills its 4px grid one row span at a time, and skips a
+mark that lies inside a tall mark it has already set. It is checked against
+a reference copy of the per-cell loop it replaced, kept below, on generated
+marks over the viewports of the default device profiles, among them tall
+boxes followed by boxes inside them, on their cell edges and across them.
 
 Every `ChartSpec` that constructs, on every valid `DeviceProfile`, renders
 and is judged, or raises a `ChronofuseError`, and renders to the same bytes
@@ -97,6 +99,33 @@ def _length(extent):
     )
 
 
+def _edge(lo, hi):
+    """A coordinate on the outer cell edge of lo or hi, just off it or a cell past it, or anywhere between."""
+    edges = st.sampled_from([math.floor(lo / CELL_PX) * CELL_PX, math.ceil(hi / CELL_PX) * CELL_PX])
+    offsets = st.sampled_from([0.0, -1e-9, 1e-9, -0.5, 0.5, -CELL_PX, CELL_PX])
+    return st.one_of(st.tuples(edges, offsets).map(sum), st.floats(lo, hi))
+
+
+@st.composite
+def _nested(draw, w, h):
+    """A container box 8 to 40 cells high, then boxes inside it, on its cell edges and across them.
+
+    The container's transpose may follow too: it lies inside the container
+    only if the x and y ranges were confused.
+    """
+    container = draw(st.builds(Rect, _position(w), _position(h), st.floats(CELL_PX, 40 * CELL_PX),
+                               st.floats(8 * CELL_PX, 40 * CELL_PX)))
+    boxes = [container]
+    for _ in range(draw(st.integers(1, 6))):
+        xs = sorted((draw(_edge(container.x, container.x1)), draw(_edge(container.x, container.x1))))
+        ys = sorted((draw(_edge(container.y, container.y1)), draw(_edge(container.y, container.y1))))
+        boxes.append(Rect(xs[0], ys[0], xs[1] - xs[0], ys[1] - ys[0]))
+    if draw(st.booleans()):
+        x, y, bw, bh = container
+        boxes.insert(draw(st.integers(1, len(boxes))), Rect(y, x, bh, bw))
+    return boxes
+
+
 @st.composite
 def viewport_and_marks(draw):
     profile = default_profile(draw(st.sampled_from(list(DeviceClass))))
@@ -108,13 +137,16 @@ def viewport_and_marks(draw):
     if draw(st.booleans()):
         whole = draw(st.sampled_from([Rect(0.0, 0.0, w, h), Rect(-5.0, -5.0, w + 10.0, h + 10.0)]))
         boxes.insert(draw(st.integers(0, len(boxes))), whole)
+    for group in draw(st.lists(_nested(w, h), max_size=2)):
+        at = draw(st.integers(0, len(boxes)))
+        boxes[at:at] = group
     return profile, w, h, [Mark("box", box) for box in boxes]
 
 
 # --- properties ---
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(viewport_and_marks())
 def test_blank_ratio_matches_per_cell_reference(case):
     profile, w, h, marks = case
