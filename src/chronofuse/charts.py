@@ -270,10 +270,15 @@ def build_radial_bar_chart(
 
 
 def _build_chart(kind, table, metrics, time_range, aggregator, normalization) -> ChartSpec:
-    """The one path from a table to a ChartSpec; a LINE of several metrics is a COMPOUND_LINE."""
+    """The one path from a table to a ChartSpec; a LINE of several metrics is a COMPOUND_LINE.
+
+    metrics=None selects every metric; a given selection must name at least one.
+    """
     known = set(table.metrics)
     # series come out in metric-name order (column order), deduplicated
-    requested = sorted(set(metrics)) if metrics else sorted(known)
+    requested = sorted(known if metrics is None else set(metrics))
+    if metrics is not None and not requested:
+        raise EmptySelection("the metric selection names no metric")
     for metric in requested:
         if metric not in known:
             raise UnknownMetric(f"metric {metric!r} has no column in the table")

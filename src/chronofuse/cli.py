@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("input", help="table store or observation archive")
     chart = argparse.ArgumentParser(add_help=False)
     chart.add_argument("--kind", choices=("line", "radial", "radial-bar"), default="line")
-    chart.add_argument("--metrics", help="comma-separated metric names (default: all)")
+    chart.add_argument("--metrics", help="comma-separated metric names, at least one (default: all)")
     chart.add_argument("--from", dest="time_from", help="range start (accepted timestamp format)")
     chart.add_argument("--to", dest="time_to", help="range end")
     common = argparse.ArgumentParser(add_help=False)
@@ -196,7 +196,7 @@ def _build_spec(args) -> tuple[Config, ChartSpec]:
     """The effective config and the chart that the chart flags ask for from `args.input`."""
     config = _load_effective_config(args)
     table = _load_input_table(args, config)
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()] if args.metrics else None
+    metrics = None if args.metrics is None else [m.strip() for m in args.metrics.split(",") if m.strip()]
     time_range = None
     if args.time_from or args.time_to:
         if not (args.time_from and args.time_to):

@@ -319,23 +319,31 @@ class _Emitter:
 def render_svg(spec: ChartSpec, plan: LayoutPlan, profile: DeviceProfile) -> RenderedChart:
     """Render a chart spec into SVG for one device, with diagnostics attached.
 
-    Data marks are scaled into their panels with an aspect-preserving
-    uniform transform; tick text keeps its pixel size and is thinned
-    (and, as a last resort, shrunk toward 8px) until it fits. Identical
-    inputs produce byte-identical SVG.
+    A font search that emits nothing fits each panel: tick text keeps its
+    pixel size and is thinned (and, as a last resort, shrunk toward 8px)
+    until it fits. The title and the marks, data scaled in uniformly, are
+    then drawn from the fitted layout. Identical inputs give identical SVG.
     """
     n = len(spec.series)
     if len(plan.panels) not in (1, n):
         raise ValueError("layout plan does not match the chart spec's series count")
     emitter = _Emitter()
     radial = spec.kind in (ChartKind.RADIAL_LINE, ChartKind.RADIAL_BAR)
-    render_panel = _render_radial_panel if radial else _render_line_panel
+    fit = _fit_radial_panel if radial else _fit_line_panel
     last = len(plan.panels) - 1
     for i, panel in enumerate(plan.panels):
         # a single panel draws every series; stacked facets share the bottom x labels
         indices = [i] if last else list(range(n))
-        with_x_labels = plan.orientation is not Orientation.VERTICAL or i == last
-        render_panel(emitter, spec, panel, indices, profile, with_x_labels)
+        lo, hi = _value_bounds(spec, indices)
+        title_font, font, layout = _fit_panel(fit, panel, spec.slot_labels, lo, hi, profile)
+        title = ", ".join(spec.series[j].metric for j in indices)
+        emitter.text(panel.x + panel.w / 2.0, panel.y + title_font, title,
+                     title_font, kind="title", color="#111")
+        if radial:
+            _draw_radial_panel(emitter, spec, indices, lo, hi, font, layout)
+        else:
+            with_x_labels = plan.orientation is not Orientation.VERTICAL or i == last
+            _draw_line_panel(emitter, spec, indices, lo, hi, font, layout, with_x_labels)
     w, h = plan.viewport
     body = "\n".join(emitter.parts)
     svg = (
@@ -348,28 +356,25 @@ def render_svg(spec: ChartSpec, plan: LayoutPlan, profile: DeviceProfile) -> Ren
     return RenderedChart(svg=svg, marks=partial.marks, viewbox=(w, h), diagnostics=diagnostics)
 
 
-def _fit_panel(emitter, spec, panel, indices, profile, fit, *args):
-    """Emit the panel's title and return (tick_font, layout) at the largest font that fits.
+def _fit_panel(fit, panel, labels, lo, hi, profile):
+    """(title_font, tick_font, layout) of the panel at the largest tick font that fits.
 
-    The title band is sized from the base font. `fit(panel, *args, font,
-    title_band)` is the chart kind's layout at one tick font, or None when
-    it does not fit; the font descends 1px at a time from the base font to
-    FONT_FLOOR.
+    The title band is sized from the base font. `fit(panel, labels, lo, hi,
+    font, title_band)` is the chart kind's layout at one tick font, or None
+    when it does not fit; the font descends 1px at a time from the base font
+    to FONT_FLOOR. Nothing is emitted.
     """
     base = max(BASE_TICK_FONT, profile.min_font_px)
     title_font = base + 4.0
     title_band = title_font + 10.0
     font = base
-    while (layout := fit(panel, *args, font, title_band)) is None:
+    while (layout := fit(panel, labels, lo, hi, font, title_band)) is None:
         font -= 1.0
         if font < FONT_FLOOR:
             raise PanelTooSmall(
                 f"panel {panel.w:.0f}x{panel.h:.0f}px cannot fit the plot box at >= {FONT_FLOOR:.0f}px text"
             )
-    title = ", ".join(spec.series[i].metric for i in indices)
-    emitter.text(panel.x + panel.w / 2.0, panel.y + title_font, title,
-                 title_font, kind="title", color="#111")
-    return font, layout
+    return title_font, font, layout
 
 
 def _value_bounds(spec: ChartSpec, indices) -> tuple[float, float]:
@@ -386,16 +391,10 @@ def _value_bounds(spec: ChartSpec, indices) -> tuple[float, float]:
     return lo, hi
 
 
-def _render_line_panel(emitter, spec, panel, indices, profile, with_x_labels):
-    lo, hi = _value_bounds(spec, indices)
+def _draw_line_panel(emitter, spec, indices, lo, hi, tick_font, layout, with_x_labels):
+    # fitted as if every facet drew x labels, so all facet frames align
+    step, plot, y_ticks = layout
     n_slots = len(spec.slot_labels)
-
-    # The fit is computed as if labels were drawn even on facets that share
-    # their time axis with the bottom one, so all facet frames align.
-    tick_font, (step, plot, y_ticks) = _fit_panel(
-        emitter, spec, panel, indices, profile, _fit_line_panel, spec.slot_labels, lo, hi
-    )
-
     transform = scale_to_viewport(Rect(0, 0, LINE_BOX_W, LINE_BOX_H), plot)
     frame = transform.apply_rect(Rect(0, 0, LINE_BOX_W, LINE_BOX_H))
 
@@ -481,13 +480,8 @@ def _render_legend(emitter, spec, indices, frame, font):
         y += font + 6.0
 
 
-def _render_radial_panel(emitter, spec, panel, indices, profile, with_x_labels):
-    # with_x_labels is unused: a ring has no x axis to share
+def _draw_radial_panel(emitter, spec, indices, lo, hi, font, region):
     n = len(spec.slot_labels)
-    lo, hi = _value_bounds(spec, indices)
-    max_label = max(len(lbl) for lbl in spec.slot_labels)
-    font, region = _fit_panel(emitter, spec, panel, indices, profile, _fit_radial_panel, max_label)
-
     transform = scale_to_viewport(Rect(0, 0, RADIAL_BOX, RADIAL_BOX), region)
     cx, cy = transform.apply(RADIAL_BOX / 2.0, RADIAL_BOX / 2.0)
     r_out = transform.scale * R_OUTER
@@ -550,9 +544,9 @@ def _render_radial_panel(emitter, spec, panel, indices, profile, with_x_labels):
         emitter.text(x, y, spec.slot_labels[slot], font, anchor=anchor, kind="slot_label")
 
 
-def _fit_radial_panel(panel, max_label, font, title_band):
-    """The ring's region at one slot-label font, or None when it is too small."""
-    inset_lr = CHAR_W * font * max_label + 16.0
+def _fit_radial_panel(panel, labels, lo, hi, font, title_band):
+    """The ring's region at one slot-label font, or None when it is too small; lo, hi are unused."""
+    inset_lr = CHAR_W * font * max(map(len, labels)) + 16.0
     inset_tb = font + 16.0
     region = Rect(
         panel.x + inset_lr,

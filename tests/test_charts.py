@@ -219,6 +219,13 @@ def test_empty_selection(small_table):
         )
 
 
+@pytest.mark.parametrize("build", [build_line_chart, build_radial_chart, build_radial_bar_chart])
+def test_an_empty_metric_selection_is_not_all_metrics(small_table, build):
+    with pytest.raises(EmptySelection):
+        build(small_table, metrics=[])
+    assert len(build(small_table, metrics=None).series) == len(small_table.metrics)
+
+
 def test_reference_range_normalization_uses_column_range(small_table):
     spec = build_line_chart(small_table, ["glucose"], normalization=Normalization.REFERENCE_RANGE)
     # (90 - 70) / (140 - 70)

@@ -189,6 +189,18 @@ def test_render_unknown_metric(tmp_path, store_path):
     assert main(["render", str(store_path), "--metrics", "nope", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("verb", ["render", "check"])
+@pytest.mark.parametrize("metrics", [",", "", " "])
+def test_metrics_that_name_no_metric_exit_2_and_write_nothing(tmp_path, store_path, capsys, verb, metrics):
+    out = tmp_path / "out"
+    args = [verb, str(store_path), "--metrics", metrics]
+    assert main(args + ["--out", str(out)] if verb == "render" else args) == 2
+    captured = capsys.readouterr()
+    assert "error: EmptySelection:" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", [Normalization.REFERENCE_RANGE, Normalization.MIN_MAX])
 def test_render_normalization_overflow_is_a_named_error(tmp_path, capsys, mode):
     path = tmp_path / "table.txt"

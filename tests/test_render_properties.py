@@ -10,12 +10,18 @@ Every `ChartSpec` that constructs, on every valid `DeviceProfile`, renders
 and is judged, or raises a `ChronofuseError`, and renders to the same bytes
 twice.
 
+No two text runs of a rendered chart overlap, for specs of every kind with
+1-6 metrics over 2-260 slots, on the default devices and a smaller monitor
+with a larger minimum font.
+
 Numbers are written to the SVG and the diagnostics by one formatter with a
 fast path for everyday magnitudes. Its text is checked, through
 `legibility_report`, against a reference copy of the formatter without that
 path, kept below, on floats of every magnitude.
 """
 
+import datetime as dt
+import itertools
 import math
 import sys
 
@@ -23,6 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronofuse import (
+    DEFAULT_PROFILES,
     ChartKind,
     ChartSpec,
     Diagnostics,
@@ -205,6 +212,48 @@ def test_every_chart_spec_renders_or_raises_a_chronofuse_error(case):
     except ChronofuseError:
         return
     assert _render_and_judge(spec, profile) == first
+
+
+# --- text runs never overlap ---
+
+# The default devices and a smaller monitor with a larger minimum font.
+TEXT_PROFILES = [*DEFAULT_PROFILES.values(), DeviceProfile(DeviceClass.MONITOR, 1280, 800, 14, 0.9)]
+
+
+@st.composite
+def charts_on_profiles(draw):
+    """Specs of every kind with 1-6 metrics over 2-260 slots, on TEXT_PROFILES."""
+    n = draw(st.integers(2, 260))
+    if draw(st.booleans()):  # slice start dates, as the chart builders label slots
+        start = dt.date(2020, 1, 1) + dt.timedelta(days=draw(st.integers(0, 3650)))
+        step = draw(st.sampled_from([1, 7, 30, 91, 365]))
+        labels = tuple((start + dt.timedelta(days=step * i)).isoformat() for i in range(n))
+    else:
+        stem = draw(st.text(max_size=8))
+        labels = tuple(f"{stem}{i}" for i in range(n))
+    rnd = draw(st.randoms(use_true_random=False))
+    series = []
+    for k in range(draw(st.integers(1, 6))):
+        ts = sorted(rnd.sample(range(n), draw(st.integers(1, n))))
+        scale = draw(st.sampled_from(VALUE_SCALES[:-1]))  # a span past the largest float is refused
+        points = tuple((float(t), scale * rnd.uniform(-1.0, 1.0)) for t in ts)
+        metric = draw(st.text(min_size=1, max_size=12)) if draw(st.booleans()) else f"m{k}"
+        series.append(Series(metric, points, draw(st.sampled_from(list(Normalization)))))
+    spec = ChartSpec(draw(st.sampled_from(list(ChartKind))), tuple(series), labels)
+    return spec, draw(st.sampled_from(TEXT_PROFILES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(charts_on_profiles())
+def test_no_two_text_runs_of_a_rendered_chart_overlap(case):
+    spec, profile = case
+    try:
+        rendered = render_svg(spec, select_layout(spec, profile), profile)
+    except ChronofuseError:
+        return
+    texts = [m for m in rendered.marks if m.text is not None]
+    for a, b in itertools.combinations(texts, 2):
+        assert not a.bbox.overlaps(b.bbox), (a, b)
 
 
 # --- the number formatter ---
