@@ -256,6 +256,26 @@ def test_radial_render_matches_committed_goldens(weekly_table, fixtures_dir, kin
         assert legibility_report(rendered.diagnostics, profile) == golden_diag
 
 
+@pytest.mark.parametrize("kind, build", [("line", build_line_chart),
+                                         ("radial-bar", build_radial_bar_chart)])
+def test_windowed_render_matches_committed_goldens(weekly_table, fixtures_dir, kind, build):
+    # the window of the CI quick start's `--from 2021-03-03 --to 2021-09-29` renders,
+    # which start and end inside a week
+    import datetime as dt
+
+    from chronofuse import TimePoint, legibility_report
+
+    window = (TimePoint.day(dt.date(2021, 3, 3)), TimePoint.day(dt.date(2021, 9, 29)))
+    spec = build(weekly_table, time_range=window)
+    profile = default_profile(DeviceClass.MONITOR)
+    rendered = render_svg(spec, select_layout(spec, profile), profile)
+    golden = fixtures_dir / "golden" / "window"
+    assert rendered.svg == (golden / f"{kind}-monitor.svg").read_text(encoding="utf-8")
+    diagnostics = legibility_report(rendered.diagnostics, profile)
+    assert diagnostics == (golden / f"{kind}-monitor-diagnostics.txt").read_text(encoding="utf-8")
+    assert rendered.diagnostics.passed
+
+
 def test_radial_polygon_closes(weekly_table):
     spec = build_radial_chart(weekly_table, ["glucose"])
     profile = default_profile(DeviceClass.MONITOR)
