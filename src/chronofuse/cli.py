@@ -198,8 +198,9 @@ def _build_spec(args) -> tuple[Config, ChartSpec]:
     table = _load_input_table(args, config)
     metrics = None if args.metrics is None else [m.strip() for m in args.metrics.split(",") if m.strip()]
     time_range = None
-    if args.time_from or args.time_to:
-        if not (args.time_from and args.time_to):
+    # `is not None`: an empty bound is given, and names no timestamp
+    if args.time_from is not None or args.time_to is not None:
+        if args.time_from is None or args.time_to is None:
             raise ChronofuseError("--from and --to must be given together")
         time_range = (
             parse_timestamp(args.time_from, config.date_order),

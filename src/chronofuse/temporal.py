@@ -15,7 +15,7 @@ import operator
 import os
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -328,29 +328,42 @@ def add_report(
     return acc.table(base=table.rows)
 
 
+_source = operator.attrgetter("source")  # a cell entry's report id
+
+
 def slice_range(table: TemporalTable, start: TimePoint, end: TimePoint) -> TemporalTable:
     """Restrict a table to slices intersecting [start, end] (dates inclusive).
 
+    A time of day on either end is ignored. Each kept row is a fresh dict.
     Columns left without cells are dropped and surviving descriptors get
     their source sets recomputed from the surviving entries.
+
+    A slice of the table's granularity is aligned, so it intersects the
+    range exactly when its start date lies between the start of the slice
+    holding `start` and `end`'s date; a slice of another granularity, which
+    only a hand-built table holds, is tested against its own end.
     """
     if start.sort_key > end.sort_key:
         raise InvertedRange(f"range start {start.isoformat()} is after end {end.isoformat()}")
+    granularity = table.granularity
+    first, last = slice_start(start.date, granularity), end.date
     kept = {
         ts: dict(row)
         for ts, row in table.rows.items()
-        if ts.start_date <= end.date and ts.end_date > start.date
+        if (first <= ts.start.date <= last if ts.granularity is granularity
+            else ts.start_date <= last and ts.end_date > start.date)
     }
-    entries: dict[str, list[tuple[CellEntry, ...]]] = {}
+    entries: defaultdict[str, list[tuple[CellEntry, ...]]] = defaultdict(list)
     for row in kept.values():
         for metric, cell in row.items():
-            entries.setdefault(metric, []).append(cell.entries)
+            entries[metric].append(cell.entries)
     columns = tuple(
-        replace(column, source_reports=frozenset({e.source for es in entries[column.metric] for e in es}))
+        ColumnDescriptor(column.metric, column.unit, column.reference_range,
+                         frozenset(map(_source, chain.from_iterable(entries[column.metric]))))
         for column in table.columns
         if column.metric in entries
     )
-    return TemporalTable(granularity=table.granularity, columns=columns, rows=kept)
+    return TemporalTable(granularity=granularity, columns=columns, rows=kept)
 
 
 def rebucket(table: TemporalTable, granularity: Granularity) -> TemporalTable:
@@ -414,9 +427,16 @@ def aggregate_cell(cell: Cell, aggregator: Aggregator = Aggregator.MEAN) -> floa
     """Collapse a cell's entries to one value.
 
     first/last follow source report id order (entries are kept sorted by
-    source then value, so ties within one report resolve by value).
+    source then value, so ties within one report resolve by value). A cell
+    of one entry gives its value as the general case would, without
+    summing: mean adds 0.0, which turns -0.0 into 0.0 as fsum does, and
+    median, first and last give the value as it is.
     """
-    if not cell.entries:
+    entries = cell.entries
+    if len(entries) == 1:
+        value = entries[0].value
+        return value + 0.0 if aggregator is Aggregator.MEAN else value
+    if not entries:
         raise EmptyCell("cannot aggregate an empty cell")
     values = cell.values
     if aggregator is Aggregator.MEAN:

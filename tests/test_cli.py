@@ -167,6 +167,19 @@ def test_render_time_range_flags(tmp_path, store_path):
                  "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("verb", ["render", "check"])
+@pytest.mark.parametrize("bounds", [("", ""), ("", "2021-03-01"), ("2021-02-01", "")])
+def test_an_empty_window_bound_exits_2_and_writes_nothing(tmp_path, store_path, capsys, verb, bounds):
+    # an empty --from or --to is given, so it must name a timestamp, as " " must
+    out = tmp_path / "out"
+    args = [verb, str(store_path), "--from", bounds[0], "--to", bounds[1]]
+    assert main(args + ["--out", str(out)] if verb == "render" else args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: NoTimestamp: no accepted timestamp in ''\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_render_rejects_garbage_input(tmp_path, capsys):
     noise = tmp_path / "noise.txt"
     noise.write_text("not a store\n", encoding="utf-8")
