@@ -9,10 +9,9 @@ values near the periphery.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import repeat
 from typing import Sequence
 
 from .errors import (
@@ -69,13 +68,11 @@ class Series:
     normalization: Normalization = Normalization.NONE
 
     def __post_init__(self):
-        points = self.points
-        # unpacks as `for t, v in points` would: a point that is not a pair raises ValueError
-        ts, _ = zip(*points, strict=True) if points else ((), ())
         # a NaN t would pass the order check below: every comparison with NaN is false
-        if not all(map(math.isfinite, chain.from_iterable(points))):
+        if not all(math.isfinite(t) and math.isfinite(v) for t, v in self.points):
             raise ValueError(f"series {self.metric!r} has non-finite t or values")
-        if not all(map(operator.lt, ts, islice(ts, 1, None))):
+        ts = [t for t, _ in self.points]
+        if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError(f"series {self.metric!r} has non-increasing t values")
 
     @property
@@ -119,7 +116,7 @@ class ChartSpec:
                 raise ValueError(f"series {s.metric!r} has no points")
             # t indexes slot_labels, as every builder gives it; the renderer places points by
             # it. Series keeps t increasing, so the ends bound it; no t has a fractional part.
-            ts, _ = zip(*s.points, strict=True)
+            ts = [t for t, _ in s.points]
             if ts[0] < 0 or ts[-1] >= n or any(map(math.fmod, ts, repeat(1.0))):
                 raise ValueError(f"series {s.metric!r} has a t that is not a slot index 0..{n - 1}")
 
@@ -272,10 +269,6 @@ def build_radial_bar_chart(
     return _build_chart(ChartKind.RADIAL_BAR, table, metrics, time_range, aggregator, normalization)
 
 
-_slice_date = operator.attrgetter("start.date")
-_isoformat = operator.methodcaller("isoformat")
-
-
 def _build_chart(kind, table, metrics, time_range, aggregator, normalization) -> ChartSpec:
     """The one path from a table to a ChartSpec; a LINE of several metrics is a COMPOUND_LINE.
 
@@ -297,19 +290,19 @@ def _build_chart(kind, table, metrics, time_range, aggregator, normalization) ->
         raise TooFewSlices(
             f"radial line charts need at least 3 slices, selection has {len(table.rows)}"
         )
-    rows = table.rows.values()
-    slots = [float(index) for index in range(len(rows))]
     series = []
     for metric in requested:
-        raw = [(t, aggregate_cell(cell, aggregator))
-               for t, cell in zip(slots, map(operator.methodcaller("get", metric), rows))
-               if cell is not None]
+        raw = []
+        for index, row in enumerate(table.rows.values()):
+            cell = row.get(metric)
+            if cell is not None:
+                raw.append((float(index), aggregate_cell(cell, aggregator)))
         if not raw:
             raise EmptySelection(f"metric {metric!r} has no cells in the requested range")
         ref = table.column_for(metric).reference_range
         series.append(normalize_series(raw, ref, normalization, metric=metric))
     if kind is ChartKind.LINE and len(series) != 1:
         kind = ChartKind.COMPOUND_LINE
-    labels = tuple(map(_isoformat, map(_slice_date, table.rows)))
+    labels = tuple(ts.start_date.isoformat() for ts in table.rows)
     return ChartSpec(kind, tuple(series), labels)
 

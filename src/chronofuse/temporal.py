@@ -338,20 +338,18 @@ def slice_range(table: TemporalTable, start: TimePoint, end: TimePoint) -> Tempo
     Columns left without cells are dropped and surviving descriptors get
     their source sets recomputed from the surviving entries.
 
-    A slice of the table's granularity is aligned, so it intersects the
+    Every slice is aligned to its own granularity, so it intersects the
     range exactly when its start date lies between the start of the slice
-    holding `start` and `end`'s date; a slice of another granularity, which
-    only a hand-built table holds, is tested against its own end.
+    of that granularity holding `start` and `end`'s date.
     """
     if start.sort_key > end.sort_key:
         raise InvertedRange(f"range start {start.isoformat()} is after end {end.isoformat()}")
-    granularity = table.granularity
-    first, last = slice_start(start.date, granularity), end.date
+    first = {granularity: slice_start(start.date, granularity) for granularity in Granularity}
+    last = end.date
     kept = {
         ts: dict(row)
         for ts, row in table.rows.items()
-        if (first <= ts.start.date <= last if ts.granularity is granularity
-            else ts.start_date <= last and ts.end_date > start.date)
+        if first[ts.granularity] <= ts.start.date <= last
     }
     entries: defaultdict[str, list[tuple[CellEntry, ...]]] = defaultdict(list)
     for row in kept.values():
@@ -363,7 +361,7 @@ def slice_range(table: TemporalTable, start: TimePoint, end: TimePoint) -> Tempo
         for column in table.columns
         if column.metric in entries
     )
-    return TemporalTable(granularity=granularity, columns=columns, rows=kept)
+    return TemporalTable(granularity=table.granularity, columns=columns, rows=kept)
 
 
 def rebucket(table: TemporalTable, granularity: Granularity) -> TemporalTable:
