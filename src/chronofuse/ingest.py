@@ -79,13 +79,17 @@ class TimePoint:
     date: dt.date
     time_of_day: dt.time | None = None
 
+    def __init__(self, date: dt.date, time_of_day: dt.time | None = None):
+        _set_date(self, date)
+        _set_time_of_day(self, time_of_day)
+
     @classmethod
     def day(cls, date: dt.date) -> "TimePoint":
-        return cls(date=date)
+        return cls(date)
 
     @classmethod
     def minute(cls, date: dt.date, time_of_day: dt.time) -> "TimePoint":
-        return cls(date=date, time_of_day=time_of_day)
+        return cls(date, time_of_day)
 
     @property
     def granularity(self) -> Resolution:
@@ -99,6 +103,12 @@ class TimePoint:
         if self.time_of_day is None:
             return self.date.isoformat()
         return f"{self.date.isoformat()} {self.time_of_day.hour:02}:{self.time_of_day.minute:02}"
+
+
+# The slot setters TimePoint's and Observation's __init__ store through: a
+# dataclass's generated __init__ pays one object.__setattr__ per field.
+_set_date = TimePoint.date.__set__
+_set_time_of_day = TimePoint.time_of_day.__set__
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,7 @@ class MetricLexicon:
         return self._matcher
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One timestamped metric reading extracted from a report."""
 
@@ -194,6 +204,23 @@ class Observation:
     time: TimePoint
     source: str
     flags: frozenset[str] = field(default_factory=frozenset)
+
+    def __init__(self, metric: str, value: float, unit: str, time: TimePoint, source: str,
+                 flags: frozenset[str] = frozenset()):
+        _set_metric(self, metric)
+        _set_value(self, value)
+        _set_unit(self, unit)
+        _set_time(self, time)
+        _set_source(self, source)
+        _set_flags(self, flags)
+
+
+_set_metric = Observation.metric.__set__
+_set_value = Observation.value.__set__
+_set_unit = Observation.unit.__set__
+_set_time = Observation.time.__set__
+_set_source = Observation.source.__set__
+_set_flags = Observation.flags.__set__
 
 
 @dataclass

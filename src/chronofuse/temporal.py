@@ -58,10 +58,16 @@ class TimeSlice:
     start: TimePoint
     granularity: Granularity
 
-    def __post_init__(self):
-        aligned = slice_start(self.start.date, self.granularity)
-        if self.start.date != aligned or self.start.time_of_day is not None:
-            raise ValueError(f"slice start {self.start.isoformat()} not aligned to {self.granularity.value}")
+    def __init__(self, start: TimePoint, granularity: Granularity):
+        if start.date != slice_start(start.date, granularity) or start.time_of_day is not None:
+            raise ValueError(f"slice start {start.isoformat()} not aligned to {granularity.value}")
+        _set_start(self, start)
+        _set_granularity(self, granularity)
+
+    def __hash__(self):
+        # equal slices have equal start dates; hashing the date skips the generated
+        # hash's calls into TimePoint and the granularity enum
+        return hash(self.start.date)
 
     @property
     def start_date(self) -> dt.date:
@@ -78,6 +84,10 @@ class CellEntry:
     value: float
     source: str
 
+    def __init__(self, value: float, source: str):
+        _set_value(self, value)
+        _set_source(self, source)
+
 
 @dataclass(frozen=True, slots=True)
 class Cell:
@@ -89,13 +99,23 @@ class Cell:
 
     entries: tuple[CellEntry, ...]
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[CellEntry, ...]):
+        if not entries:
             raise ValueError("cells must hold at least one entry")
+        _set_entries(self, entries)
 
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(e.value for e in self.entries)
+
+
+# The slot setters the __init__s above store through: a dataclass's generated
+# __init__ pays one object.__setattr__ per field.
+_set_start = TimeSlice.start.__set__
+_set_granularity = TimeSlice.granularity.__set__
+_set_value = CellEntry.value.__set__
+_set_source = CellEntry.source.__set__
+_set_entries = Cell.entries.__set__
 
 
 @dataclass(frozen=True)
@@ -695,7 +715,9 @@ def load_table(path: str | Path) -> TemporalTable:
             parsed_row = _parse_row(line.split("|"), granularity, sources, cursor)
         else:  # a known line: check and gather what _parse_row would against this file
             for metric, cell in parsed_row[1].items():
-                cell_sources = _column_sources(sources, metric, cursor)
+                cell_sources = sources.get(metric)
+                if cell_sources is None:
+                    cursor.fail(f"cell for metric {metric!r} has no col record")
                 for entry in cell.entries:
                     cell_sources.add(entry.source)
         ts, row = parsed[line] = parsed_row
@@ -820,7 +842,9 @@ def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, se
             if metric == previous:
                 cursor.fail(f"duplicate cell for metric {metric!r}")
             cursor.fail(f"cell for metric {metric!r} comes after {previous!r}")
-        cell_sources = _column_sources(sources, metric, cursor)
+        cell_sources = sources.get(metric)
+        if cell_sources is None:
+            cursor.fail(f"cell for metric {metric!r} has no col record")
         previous = metric
         entries = []
         for entry_text in entries_text.split(";"):
@@ -836,13 +860,6 @@ def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, se
             cell_sources.add(source)
         row[metric] = Cell(tuple(entries))
     return ts, row
-
-
-def _column_sources(sources: dict[str, set[str]], metric: str, cursor: _Cursor) -> set[str]:
-    known = sources.get(metric)
-    if known is None:
-        cursor.fail(f"cell for metric {metric!r} has no col record")
-    return known
 
 
 def _parse_range(text: str, unit: str, cursor: _Cursor) -> RefRange:
