@@ -142,38 +142,30 @@ class LexiconEntry:
 class MetricLexicon:
     """Recognition vocabulary mapping report wording to canonical metrics.
 
-    Canonical names are unique and alias sets are pairwise disjoint, both
-    case-insensitively; a canonical name always matches its own entry.
-    The alias index and the line matcher are built from `entries` once,
-    so a lexicon must not be mutated after construction.
+    One `re.IGNORECASE` matcher, built from `entries` once, resolves words
+    in plain-text lines and in CSV and record fields alike; a name that two
+    entries share under its case rule is refused. Do not mutate a lexicon.
     """
 
     entries: list[LexiconEntry]
-    _by_alias: dict[str, LexiconEntry] = field(init=False, compare=False, repr=False)
-    _matcher: _AliasMatcher | None = field(default=None, init=False, compare=False, repr=False)
+    _matcher: _AliasMatcher = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        canonicals = [e.canonical.lower() for e in self.entries]
-        if len(set(canonicals)) != len(canonicals):
-            raise InvalidLexicon("canonical names must be unique")
-        seen: dict[str, LexiconEntry] = {}
         for entry in self.entries:
             _validate_name(entry.canonical, "canonical name")
             for unit in entry.units:
                 _validate_name(unit, "unit")
-            for alias in {entry.canonical.lower()} | {a.lower() for a in entry.aliases}:
+            for alias in entry.aliases:
                 _validate_name(alias, "alias")
-                if alias in seen:
-                    raise InvalidLexicon(
-                        f"alias {alias!r} is claimed by both {seen[alias].canonical!r} "
-                        f"and {entry.canonical!r}"
-                    )
-                seen[alias] = entry
-        self._by_alias = seen
+        self._matcher = _AliasMatcher.compile(self)
 
     def entry_for(self, name: str) -> LexiconEntry | None:
-        """Resolve a canonical name or alias, case-insensitively."""
-        return self._by_alias.get(name.lower())
+        """Resolve a canonical name or alias, case-insensitively as plain text is scanned."""
+        match = self._matcher.pattern.match(name)
+        if match is None:
+            return None
+        alias, entry = self._matcher.slots[match.lastindex - 1]
+        return entry if len(alias) == len(name) else None
 
     def ranges(self) -> dict[str, RefRange]:
         """Reference ranges keyed by canonical name (entries without one omitted)."""
@@ -186,12 +178,6 @@ class MetricLexicon:
             yield entry.canonical, entry
             for alias in entry.aliases:
                 yield alias, entry
-
-    def _line_matcher(self) -> _AliasMatcher:
-        """The alias matcher, compiled on the first plain-text scan."""
-        if self._matcher is None:
-            self._matcher = _AliasMatcher.compile(self)
-        return self._matcher
 
 
 @dataclass(frozen=True, slots=True)
@@ -371,14 +357,17 @@ class _AliasMatcher:
             return keys[ch]
 
         # Nodes map an escaped key to a child; "" marks an alias end. The
-        # first spelling of case-equivalent aliases keeps the slot, as it
-        # wins every tie in iter_aliases() order.
+        # first spelling of an entry's case-equivalent names keeps the slot;
+        # an end that another entry holds is refused.
         root: dict = {}
         for alias, entry in lexicon.iter_aliases():
             node = root
             for ch in alias:
                 node = node.setdefault(key(ch), {})
-            node.setdefault("", (alias, entry))
+            _, owner = node.setdefault("", (alias, entry))
+            if owner is not entry:
+                raise InvalidLexicon(f"alias {alias!r} is claimed by both {owner.canonical!r} "
+                                     f"and {entry.canonical!r}")
 
         slots: list[tuple[str, LexiconEntry]] = []
 
@@ -423,7 +412,7 @@ def parse_measurement(line: str, lexicon: MetricLexicon) -> tuple[str, float, st
 
 def _scan_line(line: str, lexicon: MetricLexicon) -> tuple[_Match | None, str | None]:
     """Full line scan: returns (match, warning). Either may be None."""
-    matcher = lexicon._line_matcher()
+    matcher = lexicon._matcher
     best: tuple[int, int, str, LexiconEntry] | None = None
     for m in matcher.pattern.finditer(line):
         alias, entry = matcher.slots[m.lastindex - 1]

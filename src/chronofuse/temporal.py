@@ -710,17 +710,13 @@ def load_table(path: str | Path) -> TemporalTable:
     previous: dt.date | None = None
     for _ in range(cursor.expect_count("rows")):
         line = cursor.expect_field("row")
-        parsed_row = known.get(line)
-        if parsed_row is None:
-            parsed_row = _parse_row(line.split("|"), granularity, sources, cursor)
-        else:  # a known line: check and gather what _parse_row would against this file
-            for metric, cell in parsed_row[1].items():
-                cell_sources = sources.get(metric)
-                if cell_sources is None:
-                    cursor.fail(f"cell for metric {metric!r} has no col record")
-                for entry in cell.entries:
-                    cell_sources.add(entry.source)
-        ts, row = parsed[line] = parsed_row
+        ts, row = parsed[line] = known.get(line) or _parse_row(line.split("|"), granularity, cursor)
+        for metric, cell in row.items():  # parsed or known, each row is checked against this file
+            cell_sources = sources.get(metric)
+            if cell_sources is None:
+                cursor.fail(f"cell for metric {metric!r} has no col record")
+            for entry in cell.entries:
+                cell_sources.add(entry.source)
         # add_report re-sorts only the rows it touches, so loaded rows must be canonical
         if previous is not None and ts.start_date <= previous:
             if ts.start_date == previous:
@@ -823,8 +819,8 @@ def _parse_column(parts: list[str], cursor: _Cursor) -> ColumnDescriptor:
     return ColumnDescriptor(metric, unit, reference_range, sources)
 
 
-def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, set[str]], cursor: _Cursor):
-    """Parse one row into (slice, cells); adds each cell's sources to `sources`."""
+def _parse_row(parts: list[str], granularity: Granularity, cursor: _Cursor):
+    """Parse one row into (slice, cells); load_table checks the cells against the col records."""
     start = cursor.parse(dt.date.fromisoformat, parts[0], "slice date", dt.date.isoformat)
     try:
         ts = TimeSlice(TimePoint.day(start), granularity)
@@ -842,9 +838,6 @@ def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, se
             if metric == previous:
                 cursor.fail(f"duplicate cell for metric {metric!r}")
             cursor.fail(f"cell for metric {metric!r} comes after {previous!r}")
-        cell_sources = sources.get(metric)
-        if cell_sources is None:
-            cursor.fail(f"cell for metric {metric!r} has no col record")
         previous = metric
         entries = []
         for entry_text in entries_text.split(";"):
@@ -857,7 +850,6 @@ def _parse_row(parts: list[str], granularity: Granularity, sources: dict[str, se
             if entries and _entry_order(entry) < _entry_order(entries[-1]):
                 cursor.fail(f"cell entries for metric {metric!r} are not sorted by (source, value, sign)")
             entries.append(entry)
-            cell_sources.add(source)
         row[metric] = Cell(tuple(entries))
     return ts, row
 
@@ -909,7 +901,14 @@ def save_observations(
     *,
     ranges: Mapping[str, RefRange] | None = None,
 ) -> None:
-    """Archive extracted observations with the reference ranges they carry."""
+    """Archive extracted observations with the reference ranges they carry.
+
+    Refuses, before writing, what load_observations would reject or read
+    back as something else: ValueError (NonFiniteValue for a value that is
+    not finite) for a reserved character in a name, a value that is not a
+    float, a date that is a datetime, or a time of day with seconds or a
+    time zone.
+    """
     path = Path(path)
     ranges = ranges or {}
     lines = [f"{ARCHIVE_MAGIC} {ARCHIVE_VERSION}", f"ranges {len(ranges)}"]
@@ -932,9 +931,10 @@ def save_observations(
         flags = flag_texts.get(obs.flags)
         if flags is None:
             flags = flag_texts[obs.flags] = ",".join(sorted(obs.flags))
-        lines.append(
-            f"obs {obs.source}|{obs.metric}|{obs.value!r}|{obs.unit}|{obs.time.isoformat()}|{flags}"
-        )
+        when = obs.time.isoformat()
+        if len(when) != 10:  # not a bare YYYY-MM-DD: check what _time_point would read back
+            _check_time(obs.time)
+        lines.append(f"obs {obs.source}|{obs.metric}|{obs.value!r}|{obs.unit}|{when}|{flags}")
     lines.append("end")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -964,6 +964,15 @@ def load_observations(path: str | Path) -> tuple[list[Observation], dict[str, Re
         observations.append(Observation(metric, value, unit, time, source, flags))
     cursor.end()
     return observations, ranges
+
+
+def _check_time(time: TimePoint) -> None:
+    """Refuses a time point that TimePoint.isoformat writes as text _time_point reads otherwise."""
+    if type(time.date) is not dt.date:  # a datetime is written with its time, which no loader reads
+        raise ValueError(f"observation date {time.date!r} is not a date")
+    tod = time.time_of_day
+    if type(tod) is not dt.time or tod.second or tod.microsecond or tod.tzinfo is not None:
+        raise ValueError(f"observation time of day {tod!r} is not a whole minute without a time zone")
 
 
 def _time_point(text: str) -> TimePoint:

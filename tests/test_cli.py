@@ -468,6 +468,32 @@ def test_ingest_with_a_lexicon_bound_too_long_for_a_float_exits_2(tmp_path, corp
     assert not out.exists()
 
 
+def test_ingest_files_a_word_under_one_metric_from_a_note_and_from_a_csv(tmp_path, capsys):
+    # 'ı' (dotless i) folds with 'i' under the lexicon's one case rule, in notes and fields alike
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text("m|ix||\n", encoding="utf-8")
+    note, lab = tmp_path / "note.txt", tmp_path / "lab.csv"
+    note.write_text("2021-01-04 ıx 5\n", encoding="utf-8")
+    lab.write_text("date,metric,value,unit\n2021-01-05,ıx,6,\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["ingest", str(note), str(lab), "--lexicon", str(lexicon), "--out", str(out), "--store"]
+    assert main(args) == 0
+    assert "(2 observation(s), 0 warning(s) total)" in capsys.readouterr().out
+    table = load_table(out / "table.txt")
+    assert [column.metric for column in table.columns] == ["m"]
+    assert table.columns[0].source_reports == {"note.txt", "lab.csv"}
+
+
+def test_ingest_with_aliases_that_collide_under_the_case_rule_exits_2(tmp_path, corpus_args, capsys):
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text("m1|ıx||\nm2|ix||\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", *corpus_args, "--lexicon", str(lexicon), "--out", str(out), "--store"]) == 2
+    err = capsys.readouterr().err
+    assert "error: InvalidLexicon: alias 'ix' is claimed by both 'm1' and 'm2'" in err
+    assert not out.exists()
+
+
 def test_ingest_of_a_csv_field_over_the_csv_limit_exits_2(tmp_path, lexicon_arg, capsys):
     report = tmp_path / "huge.csv"
     report.write_text("date,metric,value,unit\n2021-01-04,glucose," + "9" * 131_073 + ",mg/dL\n",

@@ -2,9 +2,9 @@
 
 Each compiled matcher is checked against a reference copy of the
 straightforward implementation it replaced, kept below: one regex per alias
-per line for the alias scan, a linear entry search for `entry_for`, and the
-timestamp grammar as one scan per date form, where the parser runs one
-combined scan.
+per line for the alias scan, one `re.fullmatch` per alias for `entry_for`,
+and the timestamp grammar as one scan per date form, where the parser runs
+one combined scan.
 """
 
 import csv
@@ -95,10 +95,14 @@ def reference_resolve_unit(tokens, entry):
     return "", False
 
 
+def same_name(alias, name):
+    """The one case rule of the lexicon: `re.IGNORECASE`, as the plain-text scan uses."""
+    return re.fullmatch(re.escape(alias), name, re.IGNORECASE) is not None
+
+
 def reference_entry_for(lexicon, name):
-    key = name.lower()
-    for entry in lexicon.entries:
-        if entry.canonical.lower() == key or key in (a.lower() for a in entry.aliases):
+    for alias, entry in lexicon.iter_aliases():
+        if same_name(alias, name):
             return entry
     return None
 
@@ -164,16 +168,22 @@ names = st.one_of(
 )
 
 
+def owner_of(owners, name):
+    """The entry index of the name in `owners` that `name` is the same name as, or None."""
+    return next((index for known, index in owners if same_name(known, name)), None)
+
+
 @st.composite
 def lexicons(draw):
-    spellings = draw(st.lists(names, min_size=1, max_size=12, unique_by=str.lower))
+    drawn = draw(st.lists(names, min_size=1, max_size=12))
+    spellings = [name for i, name in enumerate(drawn) if not any(same_name(n, name) for n in drawn[:i])]
     groups = [[spellings[0]]]
     for name in spellings[1:]:
         if draw(st.booleans()):
             groups.append([name])
         else:
             groups[-1].append(name)
-    owner = {name.lower(): index for index, group in enumerate(groups) for name in group}
+    owners = [(name, index) for index, group in enumerate(groups) for name in group]
     entries = []
     for index, group in enumerate(groups):
         aliases = list(group[1:])
@@ -182,7 +192,8 @@ def lexicons(draw):
         # which the lexicon rightly rejects, so such variants are skipped.
         for name in draw(st.lists(st.sampled_from(group), max_size=2)):
             variant = draw(st.sampled_from(CASINGS))(name)
-            if owner.setdefault(variant.lower(), index) == index:
+            if owner_of(owners, variant) in (None, index):
+                owners.append((variant, index))
                 aliases.insert(draw(st.integers(0, len(aliases))), variant)
         units = tuple(draw(st.lists(st.sampled_from(UNITS), max_size=2, unique=True)))
         entries.append(LexiconEntry(group[0], tuple(aliases), units))
@@ -258,6 +269,30 @@ def test_entry_for_agrees_with_linear_search(data):
     )
     for name in probes:
         assert lexicon.entry_for(name) is reference_entry_for(lexicon, name)
+
+
+def respellings(alias):
+    """`alias` with each character drawn from itself and the ALPHABET characters of its case class."""
+    return st.tuples(*(
+        st.sampled_from([ch, *(other for other in ALPHABET if same_name(ch, other))]) for ch in alias
+    )).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_entry_for_resolves_a_name_as_the_plain_text_scan_does(data):
+    # a CSV or .rec field names the metric that the same word names in a note
+    lexicon = data.draw(lexicons())
+    aliases = [alias for alias, _ in lexicon.iter_aliases()]
+    for name in data.draw(st.lists(st.sampled_from(aliases).flatmap(respellings) | names,
+                                   min_size=1, max_size=10)):
+        found = parse_measurement(f"{name} 1", lexicon)
+        if found is None:
+            continue
+        entry = next(entry for entry in lexicon.entries if entry.canonical == found[0])
+        if any(same_name(alias, name) for alias in (entry.canonical, *entry.aliases)):
+            # the match covers the whole name
+            assert lexicon.entry_for(name) is entry
 
 
 timestamp_text = st.lists(

@@ -1050,9 +1050,19 @@ def test_save_table_refuses_what_load_table_cannot_read(tmp_path, observation, r
         (obs("a", 1.0, "2021-01-01"), {"a|b": RefRange(0.0, 1.0)}),
         (obs("a", 1.0, "2021-01-01"), {"a": RefRange(0.0, 1.0, "mg\rdL")}),
         (obs("a", float("inf"), "2021-01-01"), {}),
+        # isoformat writes 2021-01-04T10:30:00, which the loader rejects
+        (replace(obs("a", 1.0, "2021-01-01"), time=TimePoint.day(dt.datetime(2021, 1, 4, 10, 30))), {}),
+        (replace(obs("a", 1.0, "2021-01-01"),
+                 time=TimePoint.minute(dt.datetime(2021, 1, 4, 10, 30), dt.time(10, 30))), {}),
+        # isoformat writes 10:30, which loads back as another time
+        (replace(obs("a", 1.0, "2021-01-01"),
+                 time=TimePoint.minute(dt.date(2021, 1, 4), dt.time(10, 30, 15))), {}),
+        (replace(obs("a", 1.0, "2021-01-01"),
+                 time=TimePoint.minute(dt.date(2021, 1, 4), dt.time(10, 30, tzinfo=dt.timezone.utc))), {}),
     ],
     ids=["metric-line-break", "range-metric-separator", "range-unit-line-break",
-         "non-finite-value"],
+         "non-finite-value", "datetime-day", "datetime-minute", "time-with-seconds",
+         "time-with-tzinfo"],
 )
 def test_save_observations_refuses_what_load_observations_cannot_read(tmp_path, observation, ranges):
     from chronofuse import save_observations
@@ -1060,6 +1070,19 @@ def test_save_observations_refuses_what_load_observations_cannot_read(tmp_path, 
     with pytest.raises(ValueError):
         save_observations([observation], tmp_path / "o.txt", ranges=ranges)
     assert not (tmp_path / "o.txt").exists()
+
+
+def test_save_observations_names_the_time_point_it_refuses(tmp_path):
+    good = obs("a", 1.0, "2021-01-01")
+    for time, message in [
+        (TimePoint.day(dt.datetime(2021, 1, 4, 10, 30)),
+         r"observation date datetime.datetime\(2021, 1, 4, 10, 30\) is not a date"),
+        (TimePoint.minute(dt.date(2021, 1, 4), dt.time(10, 30, 0, 5)),
+         r"observation time of day datetime.time\(10, 30, 0, 5\) is not a whole minute"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            save_observations([good, replace(good, time=time)], tmp_path / "o.txt")
+        assert not (tmp_path / "o.txt").exists()
 
 
 # --- save_table refuses what load_table would reject ---
