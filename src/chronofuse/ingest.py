@@ -143,8 +143,9 @@ class MetricLexicon:
     """Recognition vocabulary mapping report wording to canonical metrics.
 
     One `re.IGNORECASE` matcher, built from `entries` once, resolves words
-    in plain-text lines and in CSV and record fields alike; a name that two
-    entries share under its case rule is refused. Do not mutate a lexicon.
+    and units in plain-text lines and in CSV and record fields alike; a name
+    that two entries share under its case rule is refused. Do not mutate a
+    lexicon.
     """
 
     entries: list[LexiconEntry]
@@ -336,11 +337,14 @@ class _AliasMatcher:
     position, and `slots[m.lastindex - 1]` is its (alias, entry). Trie
     edges are keyed per character by the regex engine's own case
     equivalence, so sibling edges never match the same character and the
-    first branch that matches is the only one.
+    first branch that matches is the only one. `units[canonical]` is the
+    entry's units under the same rule: group k of a `fullmatch` is its
+    k-th listed unit, and the first listed unit that matches wins.
     """
 
     pattern: re.Pattern[str]
     slots: tuple[tuple[str, LexiconEntry], ...]
+    units: dict[str, re.Pattern[str]]
 
     @classmethod
     def compile(cls, lexicon: MetricLexicon) -> _AliasMatcher:
@@ -388,7 +392,9 @@ class _AliasMatcher:
             return run + ("(?:" + "|".join(branches) + ")" if branches else "(?!)")
 
         body = emit(root)
-        return cls(re.compile(f"{_ALIAS_BEFORE}(?={body})", re.IGNORECASE), tuple(slots))
+        units = {e.canonical: re.compile("|".join(f"({re.escape(u)})" for u in e.units), re.IGNORECASE)
+                 for e in lexicon.entries}
+        return cls(re.compile(f"{_ALIAS_BEFORE}(?={body})", re.IGNORECASE), tuple(slots), units)
 
 
 # One matched measurement: (entry, value, unit, unit_mismatch).
@@ -435,7 +441,7 @@ def _scan_line(line: str, lexicon: MetricLexicon) -> tuple[_Match | None, str | 
         if _NUMBER_RE.fullmatch(stripped):
             value = float(stripped)
             if math.isfinite(value):
-                unit, mismatch = _resolve_unit(tokens[idx + 1:], entry)
+                unit, mismatch = _resolve_unit(tokens[idx + 1:], entry, matcher.units[entry.canonical])
             else:  # too long for a float
                 value, saw_digits = None, True
             break
@@ -451,20 +457,22 @@ def _scan_line(line: str, lexicon: MetricLexicon) -> tuple[_Match | None, str | 
     return (entry, value, unit, mismatch), warning
 
 
-def _resolve_unit(tokens: list[str], entry: LexiconEntry) -> tuple[str, bool]:
+def _resolve_unit(tokens: list[str], entry: LexiconEntry, units: re.Pattern[str]) -> tuple[str, bool]:
     """Match the token after the value against the entry's expected units.
 
-    Returns (unit, mismatch). The stored spelling is the lexicon's, so
-    case variants in reports cannot create unit conflicts downstream.
+    `units` is the entry's unit pattern from the lexicon's matcher, so a
+    token names a unit under the lexicon's case rule. Returns (unit,
+    mismatch). The stored spelling is the lexicon's, so case variants in
+    reports cannot create unit conflicts downstream.
     """
     for token in tokens:
         stripped = token.strip(_TOKEN_EDGE)
         if not stripped:
             continue
-        for expected in entry.units:
-            if stripped.lower() == expected.lower():
-                return expected, False
-        return "", True
+        match = units.fullmatch(stripped)
+        if match is None:
+            return "", True
+        return entry.units[match.lastindex - 1], False
     return "", False
 
 
@@ -588,7 +596,7 @@ def _resolve_fields(raw_metric: str, raw_unit: str, lexicon: MetricLexicon) -> t
     if entry is None:
         return None
     raw_unit = raw_unit.strip()
-    unit, mismatch = _resolve_unit([raw_unit], entry)
+    unit, mismatch = _resolve_unit([raw_unit], entry, lexicon._matcher.units[entry.canonical])
     warning = None
     if mismatch:
         warning = f"unexpected unit {raw_unit!r} for {entry.canonical!r}; {_expected_units(entry)}"

@@ -146,12 +146,24 @@ def scale_to_viewport(box: Rect, viewport: Rect) -> Transform:
     return Transform(scale, tx, ty)
 
 
+class Panel(NamedTuple):
+    """A fitted panel; `layout` is the line fit's (label_step, plot, y_ticks) or the ring's region."""
+
+    rect: Rect
+    indices: tuple[int, ...]
+    bounds: tuple[float, float]
+    title: str
+    title_font: float
+    tick_font: float
+    layout: tuple[int, Rect, int] | Rect
+    x_labels: bool
+
+
 @dataclass(frozen=True)
 class LayoutPlan:
     orientation: Orientation
     viewport: tuple[float, float]
-    panels: tuple[Rect, ...]
-    margins: float
+    panels: tuple[Panel, ...]
 
 
 class Mark(NamedTuple):
@@ -182,12 +194,16 @@ class RenderedChart:
 
 
 def select_layout(spec: ChartSpec, profile: DeviceProfile) -> LayoutPlan:
-    """Pick the device-appropriate arrangement of panels.
+    """Pick the device-appropriate arrangement of panels and fit each one.
 
     Phones rotate to a lateral (landscape) viewport with one shared panel
     so long time spans keep their width. Tablets stack one facet per
     series vertically. Monitors arrange per-series facets in a grid of
     identical panels.
+
+    A font search that emits nothing fits each panel: tick text keeps its
+    pixel size and is thinned (and, as a last resort, shrunk 1px at a time
+    toward 8px) until it fits, else PanelTooSmall is raised here.
     """
     n = len(spec.series)
     w, h = profile.width_px, profile.height_px
@@ -201,16 +217,33 @@ def select_layout(spec: ChartSpec, profile: DeviceProfile) -> LayoutPlan:
     rows = math.ceil(count / cols)
     panel_w = (w - 2 * OUTER_MARGIN - PANEL_GAP * (cols - 1)) / cols
     panel_h = (h - 2 * OUTER_MARGIN - PANEL_GAP * (rows - 1)) / rows
-    panels = tuple(
-        Rect(
+    radial = spec.kind in (ChartKind.RADIAL_LINE, ChartKind.RADIAL_BAR)
+    fit = _fit_radial_panel if radial else _fit_line_panel
+    base = max(BASE_TICK_FONT, profile.min_font_px)
+    title_font = base + 4.0
+    title_band = title_font + 10.0
+    panels = []
+    for i in range(count):
+        rect = Rect(
             OUTER_MARGIN + (i % cols) * (panel_w + PANEL_GAP),
             OUTER_MARGIN + (i // cols) * (panel_h + PANEL_GAP),
             panel_w,
             panel_h,
         )
-        for i in range(count)
-    )
-    return LayoutPlan(orientation, (w, h), panels, OUTER_MARGIN)
+        # a single panel draws every series; stacked facets share the bottom x labels
+        indices = (i,) if count > 1 else tuple(range(n))
+        lo, hi = _value_bounds(spec, indices)
+        font = base
+        while (layout := fit(rect, spec.slot_labels, lo, hi, font, title_band)) is None:
+            font -= 1.0
+            if font < FONT_FLOOR:
+                raise PanelTooSmall(
+                    f"panel {rect.w:.0f}x{rect.h:.0f}px cannot fit the plot box at >= {FONT_FLOOR:.0f}px text"
+                )
+        title = ", ".join(spec.series[j].metric for j in indices)
+        x_labels = orientation is not Orientation.VERTICAL or i == count - 1
+        panels.append(Panel(rect, indices, (lo, hi), title, title_font, font, layout, x_labels))
+    return LayoutPlan(orientation, (w, h), tuple(panels))
 
 
 # --- SVG emission ---
@@ -317,33 +350,21 @@ class _Emitter:
 
 
 def render_svg(spec: ChartSpec, plan: LayoutPlan, profile: DeviceProfile) -> RenderedChart:
-    """Render a chart spec into SVG for one device, with diagnostics attached.
+    """Draw a chart spec's fitted layout plan as SVG, with diagnostics attached.
 
-    A font search that emits nothing fits each panel: tick text keeps its
-    pixel size and is thinned (and, as a last resort, shrunk toward 8px)
-    until it fits. The title and the marks, data scaled in uniformly, are
-    then drawn from the fitted layout. Identical inputs give identical SVG.
+    Each panel's title and marks, data scaled in uniformly, are drawn at
+    the fonts and layout that `select_layout` fitted; nothing is searched
+    here. Identical inputs give identical SVG.
     """
-    n = len(spec.series)
-    if len(plan.panels) not in (1, n):
-        raise ValueError("layout plan does not match the chart spec's series count")
+    if [i for panel in plan.panels for i in panel.indices] != list(range(len(spec.series))):
+        raise ValueError("layout plan does not match the chart spec's series")
     emitter = _Emitter()
     radial = spec.kind in (ChartKind.RADIAL_LINE, ChartKind.RADIAL_BAR)
-    fit = _fit_radial_panel if radial else _fit_line_panel
-    last = len(plan.panels) - 1
-    for i, panel in enumerate(plan.panels):
-        # a single panel draws every series; stacked facets share the bottom x labels
-        indices = [i] if last else list(range(n))
-        lo, hi = _value_bounds(spec, indices)
-        title_font, font, layout = _fit_panel(fit, panel, spec.slot_labels, lo, hi, profile)
-        title = ", ".join(spec.series[j].metric for j in indices)
-        emitter.text(panel.x + panel.w / 2.0, panel.y + title_font, title,
-                     title_font, kind="title", color="#111")
-        if radial:
-            _draw_radial_panel(emitter, spec, indices, lo, hi, font, layout)
-        else:
-            with_x_labels = plan.orientation is not Orientation.VERTICAL or i == last
-            _draw_line_panel(emitter, spec, indices, lo, hi, font, layout, with_x_labels)
+    draw = _draw_radial_panel if radial else _draw_line_panel
+    for panel in plan.panels:
+        rect, font = panel.rect, panel.title_font
+        emitter.text(rect.x + rect.w / 2.0, rect.y + font, panel.title, font, kind="title", color="#111")
+        draw(emitter, spec, panel)
     w, h = plan.viewport
     body = "\n".join(emitter.parts)
     svg = (
@@ -354,27 +375,6 @@ def render_svg(spec: ChartSpec, plan: LayoutPlan, profile: DeviceProfile) -> Ren
     partial = RenderedChart(svg=svg, marks=tuple(emitter.marks), viewbox=(w, h))
     diagnostics = legibility_check(partial, profile)
     return RenderedChart(svg=svg, marks=partial.marks, viewbox=(w, h), diagnostics=diagnostics)
-
-
-def _fit_panel(fit, panel, labels, lo, hi, profile):
-    """(title_font, tick_font, layout) of the panel at the largest tick font that fits.
-
-    The title band is sized from the base font. `fit(panel, labels, lo, hi,
-    font, title_band)` is the chart kind's layout at one tick font, or None
-    when it does not fit; the font descends 1px at a time from the base font
-    to FONT_FLOOR. Nothing is emitted.
-    """
-    base = max(BASE_TICK_FONT, profile.min_font_px)
-    title_font = base + 4.0
-    title_band = title_font + 10.0
-    font = base
-    while (layout := fit(panel, labels, lo, hi, font, title_band)) is None:
-        font -= 1.0
-        if font < FONT_FLOOR:
-            raise PanelTooSmall(
-                f"panel {panel.w:.0f}x{panel.h:.0f}px cannot fit the plot box at >= {FONT_FLOOR:.0f}px text"
-            )
-    return title_font, font, layout
 
 
 def _value_bounds(spec: ChartSpec, indices) -> tuple[float, float]:
@@ -391,9 +391,10 @@ def _value_bounds(spec: ChartSpec, indices) -> tuple[float, float]:
     return lo, hi
 
 
-def _draw_line_panel(emitter, spec, indices, lo, hi, tick_font, layout, with_x_labels):
+def _draw_line_panel(emitter, spec, panel):
     # fitted as if every facet drew x labels, so all facet frames align
-    step, plot, y_ticks = layout
+    step, plot, y_ticks = panel.layout
+    (lo, hi), tick_font = panel.bounds, panel.tick_font
     n_slots = len(spec.slot_labels)
     transform = scale_to_viewport(Rect(0, 0, LINE_BOX_W, LINE_BOX_H), plot)
     frame = transform.apply_rect(Rect(0, 0, LINE_BOX_W, LINE_BOX_H))
@@ -411,7 +412,7 @@ def _draw_line_panel(emitter, spec, indices, lo, hi, tick_font, layout, with_x_l
         return transform.apply(bx, by)
 
     # x ticks at the kept slice labels
-    if with_x_labels:
+    if panel.x_labels:
         for slot in range(0, n_slots, step):
             x_px, _ = data_xy(float(slot), lo)
             emitter.line(x_px, frame.y1, x_px, frame.y1 + 4.0, "#444444", kind="tick")
@@ -423,7 +424,7 @@ def _draw_line_panel(emitter, spec, indices, lo, hi, tick_font, layout, with_x_l
         emitter.line(frame.x - 4.0, y_px, frame.x, y_px, "#444444", kind="tick")
         emitter.text(frame.x - 8.0, y_px + tick_font / 3.0, f"{v:.6g}", tick_font, anchor="end")
 
-    for i in indices:
+    for i in panel.indices:
         series = spec.series[i]
         color = PALETTE[i % len(PALETTE)]
         pts = [data_xy(t, v) for t, v in series.points]
@@ -434,8 +435,14 @@ def _draw_line_panel(emitter, spec, indices, lo, hi, tick_font, layout, with_x_l
             marker = "#d62728" if idx in outside else color
             emitter.circle(x, y, 2.0, stroke=marker, fill=marker, kind="series_point")
 
-    if len(indices) > 1:
-        _render_legend(emitter, spec, indices, frame, tick_font)
+    if len(panel.indices) > 1:  # the legend
+        x, y = frame.x + 8.0, frame.y + 8.0
+        for i in panel.indices:
+            color = PALETTE[i % len(PALETTE)]
+            emitter.rect(Rect(x, y, tick_font, tick_font), stroke=color, fill=color, kind="legend_swatch")
+            emitter.text(x + tick_font + 6.0, y + 0.8 * tick_font, spec.series[i].metric, tick_font,
+                         anchor="start", kind="legend_label")
+            y += tick_font + 6.0
 
 
 def _fit_line_panel(panel, labels, lo, hi, font, title_band):
@@ -469,20 +476,10 @@ def _fit_line_panel(panel, labels, lo, hi, font, title_band):
     return None
 
 
-def _render_legend(emitter, spec, indices, frame, font):
-    x = frame.x + 8.0
-    y = frame.y + 8.0
-    for i in indices:
-        color = PALETTE[i % len(PALETTE)]
-        emitter.rect(Rect(x, y, font, font), stroke=color, fill=color, kind="legend_swatch")
-        emitter.text(x + font + 6.0, y + 0.8 * font, spec.series[i].metric, font,
-                     anchor="start", kind="legend_label")
-        y += font + 6.0
-
-
-def _draw_radial_panel(emitter, spec, indices, lo, hi, font, region):
+def _draw_radial_panel(emitter, spec, panel):
     n = len(spec.slot_labels)
-    transform = scale_to_viewport(Rect(0, 0, RADIAL_BOX, RADIAL_BOX), region)
+    indices, (lo, hi), font = panel.indices, panel.bounds, panel.tick_font
+    transform = scale_to_viewport(Rect(0, 0, RADIAL_BOX, RADIAL_BOX), panel.layout)
     cx, cy = transform.apply(RADIAL_BOX / 2.0, RADIAL_BOX / 2.0)
     r_out = transform.scale * R_OUTER
     r_in = transform.scale * R_INNER

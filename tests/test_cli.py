@@ -147,6 +147,19 @@ def test_render_legibility_failure_still_writes_svg(tmp_path, store_path, capsys
     assert "unreadable text: 8: 10: fail" in diag
 
 
+@pytest.mark.parametrize("verb", ["render", "check"])
+def test_a_monitor_too_small_for_its_panel_exits_2_and_writes_nothing(tmp_path, fixtures_dir, capsys, verb):
+    config = tmp_path / "tiny.cfg"
+    config.write_text("monitor.width_px = 140\nmonitor.height_px = 90\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = [verb, str(fixtures_dir / "golden" / "table_weekly.txt"), "--kind", "line", "--config", str(config)]
+    assert main(args + ["--device", "monitor", "--out", str(out)] if verb == "render" else args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: PanelTooSmall: panel 53x28px cannot fit the plot box at >= 8px text\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_render_from_archive(tmp_path, lexicon_arg, corpus_args):
     code, out = run_ingest(tmp_path, lexicon_arg, corpus_args)
     assert code == 0

@@ -209,6 +209,22 @@ def test_measurement_case_insensitive_and_unit_spelling():
     assert parse_measurement("GLUCOSE 101 MG/DL", lex) == ("glucose", 101.0, "mg/dL")
 
 
+def test_a_unit_resolves_under_the_lexicons_case_rule_in_notes_and_fields():
+    # the micro sign and Greek mu are one letter under re.IGNORECASE, as in aliases
+    lex = make_lexicon(LexiconEntry("b12", ("vitamin b12",), ("\u00b5g",)))
+    assert parse_measurement("vitamin b12 5 \u03bcg", lex) == ("b12", 5.0, "\u00b5g")
+    for fmt, lines in (
+        (ReportFormat.PLAIN_TEXT, ["2021-03-04", "vitamin b12 5 \u03bcG"]),
+        (ReportFormat.CSV, ["date,metric,value,unit", "2021-03-04,b12,5,\u03bcg"]),
+        (ReportFormat.STRUCTURED_RECORDS, ["2021-03-04|vitamin B12|5|\u039cg"]),
+    ):
+        observations, warnings = extract_observations(doc(lines, fmt), lex)
+        assert warnings == [], fmt
+        assert [(o.metric, o.value, o.unit, o.flags) for o in observations] == [
+            ("b12", 5.0, "\u00b5g", frozenset())
+        ], fmt
+
+
 def test_measurement_signed_and_malformed_values():
     lex = make_lexicon(LexiconEntry("delta", (), ()))
     assert parse_measurement("delta -3.5", lex) == ("delta", -3.5, "")

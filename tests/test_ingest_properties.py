@@ -295,6 +295,33 @@ def test_entry_for_resolves_a_name_as_the_plain_text_scan_does(data):
             assert lexicon.entry_for(name) is entry
 
 
+# Units whose letters case-map irregularly, some of them one unit under the case rule.
+CASE_UNITS = ["\u00b5g", "\u03bcg", "mg/dL", "K", "\u212a", "\u00c5", "\u212b", "\u00df", "\u1e9e", "\u017f",
+              "\u0130U", "iu", "%"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_unit_is_the_first_listed_unit_that_the_case_rule_matches(data):
+    # in a note and in a record field, as aliases are
+    units = tuple(data.draw(st.lists(st.sampled_from(CASE_UNITS), max_size=3, unique=True)))
+    lexicon = MetricLexicon([LexiconEntry("metric", (), units)])
+    listed = st.sampled_from(units).flatmap(respellings) if units else st.nothing()
+    token = data.draw(st.one_of(
+        st.builds(lambda unit, casing: casing(unit), listed, st.sampled_from(CASINGS)),
+        st.text(ALPHABET.replace(" ", ""), min_size=1, max_size=4),
+    ))
+
+    def first_listed(text):
+        return next((unit for unit in units if same_name(unit, text)), "")
+
+    note_unit = first_listed(token.strip(_TOKEN_EDGE))
+    assert parse_measurement(f"metric 5 {token}", lexicon) == ("metric", 5.0, note_unit)
+    document = ReportDocument("r", "r.rec", [f"2021-03-04|metric|5|{token}"], ReportFormat.STRUCTURED_RECORDS)
+    observations, _ = extract_observations(document, lexicon)
+    assert [o.unit for o in observations] == [first_listed(token)]
+
+
 timestamp_text = st.lists(
     st.one_of(
         st.sampled_from(DATES),

@@ -68,9 +68,9 @@ def test_tablet_layout_stacks_facets():
     plan = select_layout(synthetic_spec(3), default_profile(DeviceClass.TABLET))
     assert plan.orientation is Orientation.VERTICAL
     assert len(plan.panels) == 3
-    xs = {p.x for p in plan.panels}
+    xs = {p.rect.x for p in plan.panels}
     assert len(xs) == 1
-    ys = [p.y for p in plan.panels]
+    ys = [p.rect.y for p in plan.panels]
     assert ys == sorted(ys) and len(set(ys)) == 3
 
 
@@ -78,21 +78,29 @@ def test_monitor_layout_grid_equal_ratio():
     plan = select_layout(synthetic_spec(4), default_profile(DeviceClass.MONITOR))
     assert plan.orientation is Orientation.GRID
     assert len(plan.panels) == 4  # ceil(sqrt(4)) = 2 columns, 2 rows
-    ratios = {round(p.w / p.h, 9) for p in plan.panels}
+    ratios = {round(p.rect.w / p.rect.h, 9) for p in plan.panels}
     assert len(ratios) == 1
 
 
 def test_layout_totality_non_overlapping():
-    # brute-force pairwise overlap oracle over 1..16 facets, all classes
+    # brute-force pairwise overlap oracle over 1..16 facets, all classes;
+    # only the tablet's strips for 13 or more facets are too thin to fit
+    too_small = set()
     for n in range(1, 17):
         spec = synthetic_spec(n)
         for device in DeviceClass:
-            plan = select_layout(spec, default_profile(device))
+            try:
+                plan = select_layout(spec, default_profile(device))
+            except PanelTooSmall:
+                too_small.add((device, n))
+                continue
             view = Rect(0, 0, plan.viewport[0], plan.viewport[1])
-            for i, a in enumerate(plan.panels):
+            rects = [panel.rect for panel in plan.panels]
+            for i, a in enumerate(rects):
                 assert view.contains(a), (device, n)
-                for b in plan.panels[i + 1:]:
+                for b in rects[i + 1:]:
                     assert not a.overlaps(b), (device, n)
+    assert too_small == {(DeviceClass.TABLET, n) for n in range(13, 17)}
 
 
 # --- scale_to_viewport ---
@@ -150,7 +158,17 @@ def test_render_tiny_panel_fails():
     spec = synthetic_spec(1)
     profile = DeviceProfile(DeviceClass.MONITOR, 1, 1, 12)
     with pytest.raises(PanelTooSmall):
-        render_svg(spec, select_layout(spec, profile), profile)
+        select_layout(spec, profile)
+
+
+@pytest.mark.parametrize("device", list(DeviceClass))
+@pytest.mark.parametrize(("planned", "drawn"), [(2, 3), (3, 2)])
+def test_render_refuses_a_plan_of_another_series_count(device, planned, drawn):
+    # every series of the spec is drawn exactly once, or the plan is refused
+    profile = default_profile(device)
+    plan = select_layout(synthetic_spec(planned), profile)
+    with pytest.raises(ValueError, match="layout plan does not match the chart spec's series"):
+        render_svg(synthetic_spec(drawn), plan, profile)
 
 
 @pytest.mark.xfail(strict=True, reason="the line fit reserves a fixed 8px right of the plot, not half a "

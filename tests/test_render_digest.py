@@ -4,15 +4,22 @@ The nine goldens pin one table on the three default profiles. This sweep
 adds every device class at 1, 2, 4 and 9 metrics, series long enough to
 thin the tick labels and to shrink the tick font, a profile whose base
 font is above 12px, and a profile too small for any chart kind. Each
-case's layout plan, SVG, diagnostics and `legibility_report` text, or its
-error type and message, feed one SHA-256 that is compared with a committed
-digest. The geometry index of each rendered case, `repr(rendered.marks)`,
-feeds a second SHA-256, so the coordinates the legibility rules read are
-pinned as well as the bytes written. The sweep is also run in fresh interpreters under two hash seeds,
-so output cannot depend on set or dict ordering of hashed strings.
+case's SVG, diagnostics and `legibility_report` text, or its error type
+and message, feed one SHA-256 that is compared with a committed digest.
+Each case's layout plan, `repr(plan)`, or its error text, feeds a second
+SHA-256, so a change to what the plan holds moves PLAN_DIGEST alone. The
+geometry index of each rendered case, `repr(rendered.marks)`, feeds a
+third, so the coordinates the legibility rules read are pinned as well as
+the bytes written. The sweep is also run in fresh interpreters under two
+hash seeds, so output cannot depend on set or dict ordering of hashed
+strings.
 
 A change that alters rendered output on purpose must update DIGEST (and
-MARKS_DIGEST, when the marks move) and say why.
+MARKS_DIGEST, when the marks move) and say why; one that changes the plan
+alone updates PLAN_DIGEST. Run this file as a script to print the three
+digests of the `chronofuse` on the path, for example
+`PYTHONPATH=src python tests/test_render_digest.py`, so two trees can be
+compared pin by pin.
 
 The module imports only the standard library and chronofuse, so the
 subprocess test can load it without site-packages.
@@ -45,7 +52,8 @@ from chronofuse import (
 )
 from chronofuse.errors import ChronofuseError
 
-DIGEST = "3e3b74b56c351c66edbf8631452f432434b75f95f9162293fe931b46843ec0c1"
+DIGEST = "bcfaf4e357fffbd13bb5b3509f60240a4a1710505240fb2620d7ca43e0ffe76c"
+PLAN_DIGEST = "397b5e6f05d9edbd8a62db1665eece3b19c7168952b8f18322777f577d835bcf"
 MARKS_DIGEST = "2166285bd15f342e66229b3d7d1198c7d9b845c021ead7c0c7bdcb72e450610e"
 
 METRIC_COUNTS = (1, 2, 4, 9)
@@ -91,8 +99,11 @@ def _table(n_slices: int):
 
 
 @functools.cache
-def sweep_cases() -> tuple[tuple[str, str, str], ...]:
-    """(case label, text to hash, repr of the marks or "" on error) for every case of the sweep."""
+def sweep_cases() -> tuple[tuple[str, str, str, str], ...]:
+    """(case label, rendered text, plan text, repr of the marks or "") for every case of the sweep.
+
+    On error both texts are the error's type and message.
+    """
     return tuple(_sweep())
 
 
@@ -109,34 +120,39 @@ def _sweep():
                         plan = select_layout(spec, profile)
                         rendered = render_svg(spec, plan, profile)
                         text = "\n".join((
-                            repr(plan),
                             rendered.svg,
                             repr(rendered.diagnostics),
                             legibility_report(rendered.diagnostics, profile),
                         ))
+                        plan_text = repr(plan)
                         marks = repr(rendered.marks)
                     except ChronofuseError as exc:
-                        text = f"{type(exc).__name__}: {exc}"
+                        text = plan_text = f"{type(exc).__name__}: {exc}"
                         marks = ""
-                    yield label, text, marks
+                    yield label, text, plan_text, marks
+
+
+def _digest(part: int) -> str:
+    digest = hashlib.sha256()
+    for case in sweep_cases():
+        digest.update(f"{case[0]}\n{case[part]}\n".encode("utf-8"))
+    return digest.hexdigest()
 
 
 def sweep_digest() -> str:
-    digest = hashlib.sha256()
-    for label, text, _ in sweep_cases():
-        digest.update(f"{label}\n{text}\n".encode("utf-8"))
-    return digest.hexdigest()
+    return _digest(1)
+
+
+def plan_digest() -> str:
+    return _digest(2)
 
 
 def marks_digest() -> str:
-    digest = hashlib.sha256()
-    for label, _, marks in sweep_cases():
-        digest.update(f"{label}\n{marks}\n".encode("utf-8"))
-    return digest.hexdigest()
+    return _digest(3)
 
 
 def test_sweep_covers_thinning_shrinking_and_too_small():
-    outcomes = {label: text for label, text, _ in sweep_cases()}
+    outcomes = {label: text for label, text, _, _ in sweep_cases()}
     assert len(outcomes) == len(SLICE_COUNTS) * len(METRIC_COUNTS) * len(BUILDERS) * len(PROFILES)
     for label, text in outcomes.items():
         if " tiny " in label:
@@ -154,6 +170,10 @@ def test_render_sweep_matches_committed_digest():
     assert sweep_digest() == DIGEST
 
 
+def test_render_sweep_plans_match_committed_digest():
+    assert plan_digest() == PLAN_DIGEST
+
+
 def test_render_sweep_geometry_index_matches_committed_digest():
     assert marks_digest() == MARKS_DIGEST
 
@@ -168,7 +188,7 @@ def test_render_sweep_digest_is_independent_of_hash_seed():
         f"spec = importlib.util.spec_from_file_location('render_digest', {__file__!r})\n"
         "module = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(module)\n"
-        "print(hash('chronofuse'), module.sweep_digest(), module.marks_digest())\n"
+        "print(hash('chronofuse'), module.sweep_digest(), module.plan_digest(), module.marks_digest())\n"
     )
     seen = []
     for seed in ("0", "1"):
@@ -177,7 +197,13 @@ def test_render_sweep_digest_is_independent_of_hash_seed():
             capture_output=True, text=True, timeout=300, env={"PYTHONHASHSEED": seed},
         )
         assert result.returncode == 0, result.stderr
-        string_hash, digest, marks = result.stdout.split()
-        assert (digest, marks) == (DIGEST, MARKS_DIGEST)
+        string_hash, *digests = result.stdout.split()
+        assert digests == [DIGEST, PLAN_DIGEST, MARKS_DIGEST]
         seen.append(string_hash)
     assert seen[0] != seen[1], "the two seeds should hash strings differently"
+
+
+if __name__ == "__main__":
+    print(f"DIGEST = {sweep_digest()}")
+    print(f"PLAN_DIGEST = {plan_digest()}")
+    print(f"MARKS_DIGEST = {marks_digest()}")
