@@ -156,13 +156,14 @@ def cmd_ingest(args) -> int:
         for warning in warnings:
             print(f"  warning: {warning}")
 
+    if args.store:  # fused before either write, so a fuse error leaves both files as they were
+        table, fuse_warnings = fuse(all_observations, config.granularity, ranges=lexicon.ranges())
     _make_dir(config.out_dir)
     archive_path = config.out_dir / ARCHIVE_NAME
     save_observations(all_observations, archive_path, ranges=lexicon.ranges())
     print(f"wrote {archive_path} ({len(all_observations)} observation(s), "
           f"{total_warnings} warning(s) total)")
     if args.store:
-        table, fuse_warnings = fuse(all_observations, config.granularity, ranges=lexicon.ranges())
         store_path = config.out_dir / STORE_NAME
         save_table(table, store_path)
         print(f"wrote {store_path} ({len(table.columns)} column(s), {len(table.rows)} slice(s))")

@@ -108,7 +108,7 @@ class MissingRange(ChronofuseError):
 # --- render ---
 
 class PanelTooSmall(ChronofuseError):
-    """Panel cannot fit the plot box even at maximal tick thinning and 8px text."""
+    """Panel cannot fit the plot box at any font down to the profile's min_font_px."""
 
 
 # --- cli ---

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import html
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -32,9 +32,7 @@ RULE_TEXT = "unreadable text"
 OUTER_MARGIN = 12.0
 PANEL_GAP = 10.0
 MIN_PLOT_PX = 32.0       # plot areas below this cannot hold a legible chart
-FONT_FLOOR = 8.0         # never emit text smaller than this; fail instead
 BASE_TICK_FONT = 12.0
-THINNING_ROUNDS = 3      # halve the tick labels at most this many times
 CHAR_W = 0.6             # estimated glyph width as a fraction of font size
 LABEL_GAP = 6.0
 CELL_PX = 4.0            # occupancy grid resolution for the blank-space check
@@ -164,6 +162,7 @@ class LayoutPlan:
     orientation: Orientation
     viewport: tuple[float, float]
     panels: tuple[Panel, ...]
+    spec: ChartSpec = field(repr=False, compare=False)  # the spec the panels were fitted for
 
 
 class Mark(NamedTuple):
@@ -201,9 +200,10 @@ def select_layout(spec: ChartSpec, profile: DeviceProfile) -> LayoutPlan:
     series vertically. Monitors arrange per-series facets in a grid of
     identical panels.
 
-    A font search that emits nothing fits each panel: tick text keeps its
-    pixel size and is thinned (and, as a last resort, shrunk 1px at a time
-    toward 8px) until it fits, else PanelTooSmall is raised here.
+    A font search that emits nothing fits each panel: tick labels are
+    thinned until they fit, and the font shrinks 1px at a time, never under
+    the profile's min_font_px, only where the gutters leave too small a
+    plot box. A panel with no fit at a legible font raises PanelTooSmall.
     """
     n = len(spec.series)
     w, h = profile.width_px, profile.height_px
@@ -236,14 +236,13 @@ def select_layout(spec: ChartSpec, profile: DeviceProfile) -> LayoutPlan:
         font = base
         while (layout := fit(rect, spec.slot_labels, lo, hi, font, title_band)) is None:
             font -= 1.0
-            if font < FONT_FLOOR:
-                raise PanelTooSmall(
-                    f"panel {rect.w:.0f}x{rect.h:.0f}px cannot fit the plot box at >= {FONT_FLOOR:.0f}px text"
-                )
+            if font < profile.min_font_px:
+                raise PanelTooSmall(f"panel {rect.w:.0f}x{rect.h:.0f}px cannot fit the plot box "
+                                    f"at >= {profile.min_font_px:g}px text")
         title = ", ".join(spec.series[j].metric for j in indices)
         x_labels = orientation is not Orientation.VERTICAL or i == count - 1
         panels.append(Panel(rect, indices, (lo, hi), title, title_font, font, layout, x_labels))
-    return LayoutPlan(orientation, (w, h), tuple(panels))
+    return LayoutPlan(orientation, (w, h), tuple(panels), spec)
 
 
 # --- SVG emission ---
@@ -356,7 +355,7 @@ def render_svg(spec: ChartSpec, plan: LayoutPlan, profile: DeviceProfile) -> Ren
     the fonts and layout that `select_layout` fitted; nothing is searched
     here. Identical inputs give identical SVG.
     """
-    if [i for panel in plan.panels for i in panel.indices] != list(range(len(spec.series))):
+    if plan.spec != spec:
         raise ValueError("layout plan does not match the chart spec's series")
     emitter = _Emitter()
     radial = spec.kind in (ChartKind.RADIAL_LINE, ChartKind.RADIAL_BAR)
@@ -448,9 +447,9 @@ def _draw_line_panel(emitter, spec, panel):
 def _fit_line_panel(panel, labels, lo, hi, font, title_band):
     """The line layout at one tick font, with the least thinning that fits.
 
-    Thinning drops every other tick label per round, at most three rounds;
-    past that the font must shrink. Returns (label_step, plot_rect,
-    y_tick_count), or None when nothing fits at this font.
+    Thinning doubles the label step until the labels fit. Returns
+    (label_step, plot_rect, y_tick_count), or None when the plot box is too
+    small at this font.
     """
     n = len(labels)
     y_labels = [f"{lo + (hi - lo) * j / 4.0:.6g}" for j in range(5)]
@@ -464,16 +463,16 @@ def _fit_line_panel(panel, labels, lo, hi, font, title_band):
     )
     if plot.w < MIN_PLOT_PX or plot.h < MIN_PLOT_PX:
         return None
-    y_ticks = 5 if plot.h >= 5 * (font + 4.0) else (3 if plot.h >= 3 * (font + 4.0) else 2)
     scale = min(plot.w / LINE_BOX_W, plot.h / LINE_BOX_H)
+    frame_h = scale * LINE_BOX_H  # a width-bound frame is shorter than the plot rect
+    y_ticks = 5 if frame_h >= 5 * (font + 4.0) else (3 if frame_h >= 3 * (font + 4.0) else 2)
     inner_w = scale * (LINE_BOX_W - 2 * BOX_PAD)
     label_w = max(CHAR_W * font * len(lbl) for lbl in labels)
-    for round_ in range(THINNING_ROUNDS + 1):
-        step = 2 ** round_
-        # a step that keeps a single label always fits
-        if n <= step or inner_w * step / (n - 1) >= label_w + LABEL_GAP:
-            return step, plot, y_ticks
-    return None
+    step = 1
+    # a step that keeps a single label always fits
+    while n > step and inner_w * step / (n - 1) < label_w + LABEL_GAP:
+        step *= 2
+    return step, plot, y_ticks
 
 
 def _draw_radial_panel(emitter, spec, panel):

@@ -1,3 +1,4 @@
+import datetime as dt
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,22 @@ def test_ingest_is_idempotent(tmp_path, lexicon_arg, corpus_args):
     _, second = run_ingest(tmp_path / "two", lexicon_arg, corpus_args, extra=["--store"])
     for name in ("observations.txt", "table.txt"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_ingest_store_that_fails_to_fuse_leaves_both_files_as_they_were(tmp_path, capsys):
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text("glucose|glucose,glu|mg/dL,mmol/L|70..140\n", encoding="utf-8")
+    note, lab = tmp_path / "note.txt", tmp_path / "lab.csv"
+    note.write_text("2021-01-04 glucose 95 mg/dL\n", encoding="utf-8")
+    lab.write_text("date,metric,value,unit\n2021-01-05,glu,5.4,mmol/L\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["--lexicon", str(lexicon), "--out", str(out), "--store"]
+    assert main(["ingest", str(note), *args]) == 0
+    before = {name: (out / name).read_bytes() for name in ("observations.txt", "table.txt")}
+    # the two listed units of one metric meet in a slice: fuse raises before either file is written
+    assert main(["ingest", str(note), str(lab), *args]) == 2
+    assert "error: UnitConflict:" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in before} == before
 
 
 def test_ingest_no_reports_is_usage_error():
@@ -135,16 +152,17 @@ def test_render_radial_too_few_slices(tmp_path, capsys):
 
 
 def test_render_legibility_failure_still_writes_svg(tmp_path, store_path, capsys):
-    # a cramped phone bottoms the tick font out at 8px, under the 10px minimum
+    # a cramped phone with a strict blank-space limit: the chart fits, but fails that rule
     config = tmp_path / "strict.cfg"
-    config.write_text("phone.width_px = 280\nphone.height_px = 520\n", encoding="utf-8")
+    config.write_text("phone.width_px = 280\nphone.height_px = 520\nphone.max_blank_ratio = 0.2\n",
+                      encoding="utf-8")
     out = tmp_path / "strict-out"
     code = main(["render", str(store_path), "--device", "phone", "--out", str(out),
                  "--config", str(config)])
     assert code == 1
     assert (out / "line-phone.svg").exists()
     diag = (out / "line-phone-diagnostics.txt").read_text(encoding="utf-8")
-    assert "unreadable text: 8: 10: fail" in diag
+    assert "blank space: 0.277032967: 0.2: fail" in diag
 
 
 @pytest.mark.parametrize("verb", ["render", "check"])
@@ -155,7 +173,7 @@ def test_a_monitor_too_small_for_its_panel_exits_2_and_writes_nothing(tmp_path, 
     args = [verb, str(fixtures_dir / "golden" / "table_weekly.txt"), "--kind", "line", "--config", str(config)]
     assert main(args + ["--device", "monitor", "--out", str(out)] if verb == "render" else args) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: PanelTooSmall: panel 53x28px cannot fit the plot box at >= 8px text\n"
+    assert captured.err == "error: PanelTooSmall: panel 53x28px cannot fit the plot box at >= 12px text\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -271,6 +289,20 @@ def test_report_fixture_all_yes(store_path, capsys):
     ]
     assert lines[:5] == expected
     assert lines[5].startswith("# chronofuse")
+
+
+def test_report_of_three_years_of_twelve_weekly_metrics_has_a_higher_time_series_graph(tmp_path, capsys):
+    start = dt.date(2020, 1, 6)
+    observations = [
+        obs(f"metric_{m:02d}", 40.0 + (k * (7 + 3 * m) + 11 * m) % 37 * 1.5,
+            (start + dt.timedelta(weeks=k)).isoformat())
+        for m in range(12) for k in range(156)
+    ]
+    table, _ = fuse(observations, Granularity.WEEK)
+    path = tmp_path / "weekly.txt"
+    save_table(table, path)
+    assert main(["report", str(path)]) == 0
+    assert "Higher time series graph: Yes" in capsys.readouterr().out.splitlines()
 
 
 def test_report_single_metric_store(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import datetime as dt
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -5,6 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from chronofuse import (
+    ChartKind,
     DeviceClass,
     DeviceProfile,
     Mark,
@@ -44,8 +47,6 @@ def synthetic_spec(n_series: int, n_points: int = 4) -> ChartSpec:
 
 
 def ChartKind_for(n):
-    from chronofuse import ChartKind
-
     return ChartKind.LINE if n == 1 else ChartKind.COMPOUND_LINE
 
 
@@ -161,14 +162,48 @@ def test_render_tiny_panel_fails():
         select_layout(spec, profile)
 
 
+def _plan_spec(key):
+    """A spec by series count, or one of three 2-series specs: a line, the same series as a ring, a longer line."""
+    specs = {
+        "line": lambda: synthetic_spec(2),
+        "radial": lambda: dataclasses.replace(synthetic_spec(2), kind=ChartKind.RADIAL_LINE),
+        "longer line": lambda: synthetic_spec(2, 5),
+    }
+    return specs[key]() if key in specs else synthetic_spec(key)
+
+
 @pytest.mark.parametrize("device", list(DeviceClass))
-@pytest.mark.parametrize(("planned", "drawn"), [(2, 3), (3, 2)])
+@pytest.mark.parametrize(("planned", "drawn"), [
+    (2, 3), (3, 2), ("line", "radial"), ("radial", "line"), ("line", "longer line"),
+])
 def test_render_refuses_a_plan_of_another_series_count(device, planned, drawn):
-    # every series of the spec is drawn exactly once, or the plan is refused
+    # a plan draws only the spec it was fitted for, even one of the same kind and series count
     profile = default_profile(device)
-    plan = select_layout(synthetic_spec(planned), profile)
+    plan = select_layout(_plan_spec(planned), profile)
     with pytest.raises(ValueError, match="layout plan does not match the chart spec's series"):
-        render_svg(synthetic_spec(drawn), plan, profile)
+        render_svg(_plan_spec(drawn), plan, profile)
+
+
+def weekly_line_spec(n_metrics: int, n_slices: int) -> ChartSpec:
+    start = dt.date(2020, 1, 6)
+    labels = tuple((start + dt.timedelta(weeks=k)).isoformat() for k in range(n_slices))
+    series = tuple(
+        Series(f"metric_{m}", tuple((float(k), 40.0 + (k * (7 + 3 * m) + 11 * m) % 37 * 1.5)
+                                    for k in range(n_slices)))
+        for m in range(n_metrics)
+    )
+    return ChartSpec(ChartKind_for(n_metrics), series, labels)
+
+
+@pytest.mark.parametrize("device", list(DeviceClass))
+@pytest.mark.parametrize("n_slices", [52, 104, 156, 260, 400])
+def test_years_of_weekly_line_charts_render_legibly_on_every_default_device(device, n_slices):
+    # long series thin their labels at a legible font instead of shrinking it
+    profile = default_profile(device)
+    for n_metrics in range(1, 5):
+        spec = weekly_line_spec(n_metrics, n_slices)
+        rendered = render_svg(spec, select_layout(spec, profile), profile)
+        assert rendered.diagnostics.passed, (n_metrics, rendered.diagnostics)
 
 
 @pytest.mark.xfail(strict=True, reason="the line fit reserves a fixed 8px right of the plot, not half a "

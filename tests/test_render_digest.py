@@ -2,8 +2,8 @@
 
 The nine goldens pin one table on the three default profiles. This sweep
 adds every device class at 1, 2, 4 and 9 metrics, series long enough to
-thin the tick labels and to shrink the tick font, a profile whose base
-font is above 12px, and a profile too small for any chart kind. Each
+thin the tick labels past three rounds at the base font, a profile whose
+base font is above 12px, and a profile too small for any chart kind. Each
 case's SVG, diagnostics and `legibility_report` text, or its error type
 and message, feed one SHA-256 that is compared with a committed digest.
 Each case's layout plan, `repr(plan)`, or its error text, feeds a second
@@ -52,9 +52,9 @@ from chronofuse import (
 )
 from chronofuse.errors import ChronofuseError
 
-DIGEST = "bcfaf4e357fffbd13bb5b3509f60240a4a1710505240fb2620d7ca43e0ffe76c"
-PLAN_DIGEST = "397b5e6f05d9edbd8a62db1665eece3b19c7168952b8f18322777f577d835bcf"
-MARKS_DIGEST = "2166285bd15f342e66229b3d7d1198c7d9b845c021ead7c0c7bdcb72e450610e"
+DIGEST = "68bed9373d8f18e31a30a8a583b3e59cd5b121fc10aeff7d729fe23194fede49"
+PLAN_DIGEST = "8a6d27a5b5b89d0f1d1a47857f69f4ab5b707f25d69fe6052e12300694d43992"
+MARKS_DIGEST = "ba0d7ee2d812c1f15c91924daa24c168578bcfebe17d675b172854f705c512eb"
 
 METRIC_COUNTS = (1, 2, 4, 9)
 SLICE_COUNTS = (3, 16, 60, 100)
@@ -160,9 +160,11 @@ def test_sweep_covers_thinning_shrinking_and_too_small():
     # tick labels thinned at the base font: the second week's label is dropped
     thinned = outcomes["line monitor metrics=1 slices=100"]
     assert 'font-size="12"' in thinned and ">2020-01-13<" not in thinned
-    # the tick font shrunk below the base font
-    assert 'font-size="10"' in outcomes["line monitor metrics=2 slices=100"]
-    assert 'font-size="8"' in outcomes["line tablet metrics=1 slices=100"]
+    # thinned past three rounds at the base font: 12px ticks, every 16th label kept
+    for label in ("line monitor metrics=2 slices=100", "line tablet metrics=1 slices=100"):
+        text = outcomes[label]
+        assert 'font-size="12"' in text and ">2020-03-02<" not in text and ">2020-04-27<" in text, label
+        assert 'font-size="8"' not in text and 'font-size="10"' not in text, label
     assert 'font-size="14"' in outcomes["line large-font metrics=4 slices=16"]
 
 

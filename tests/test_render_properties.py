@@ -8,7 +8,7 @@ boxes followed by boxes inside them, on their cell edges and across them.
 
 Every `ChartSpec` that constructs, on every valid `DeviceProfile`, renders
 and is judged, or raises a `ChronofuseError`, and renders to the same bytes
-twice.
+twice. No text it draws is under the profile's minimum font.
 
 No two text runs of a rendered chart overlap, for specs of every kind with
 1-6 metrics over 2-260 slots, on the default devices and a smaller monitor
@@ -191,7 +191,10 @@ def specs_and_profiles(draw):
 
 def _render_and_judge(spec, profile):
     rendered = render_svg(spec, select_layout(spec, profile), profile)
-    return rendered.svg, legibility_report(legibility_check(rendered, profile), profile)
+    diagnostics = legibility_check(rendered, profile)
+    # no text is drawn under the profile's minimum, read at the SVG's 9 decimals
+    assert diagnostics.min_text_px >= round(profile.min_font_px, 9), (diagnostics, profile)
+    return rendered.svg, legibility_report(diagnostics, profile)
 
 
 # A constant line whose value is at least 2**53: widening it by 0.5 either way
@@ -201,10 +204,20 @@ HUGE_CONSTANT_LINE = (
     default_profile(DeviceClass.MONITOR),
 )
 
+# One metric over 100 weekly slices on the default tablet: its labels thin
+# past three rounds at the 12px base font.
+_WEEKS = tuple((dt.date(2020, 1, 6) + dt.timedelta(weeks=k)).isoformat() for k in range(100))
+_WEEKLY_VALUES = tuple((float(k), (k * 7 % 37 * 1.5 - 10.0) / 30.0) for k in range(100))
+LONG_WEEKLY_LINE = (
+    ChartSpec(ChartKind.LINE, (Series("m0", _WEEKLY_VALUES, Normalization.REFERENCE_RANGE),), _WEEKS),
+    default_profile(DeviceClass.TABLET),
+)
+
 
 @settings(max_examples=100, deadline=None)
 @given(specs_and_profiles())
 @example(HUGE_CONSTANT_LINE)
+@example(LONG_WEEKLY_LINE)
 def test_every_chart_spec_renders_or_raises_a_chronofuse_error(case):
     spec, profile = case
     try:
@@ -245,6 +258,9 @@ def charts_on_profiles(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(charts_on_profiles())
+# a one-point chart on a narrow tablet: its frame is far shorter than its plot rect
+@example((ChartSpec(ChartKind.LINE, (Series("a", ((0.0, 0.0),)),), ("x",)),
+          DeviceProfile(DeviceClass.TABLET, 200, 1180, 12, 0.85)))
 def test_no_two_text_runs_of_a_rendered_chart_overlap(case):
     spec, profile = case
     try:
